@@ -19,7 +19,7 @@ from typing import Optional, TextIO
 from . import core, gold, query, similarity
 from .convert import convert as run_converter
 from .convert import load_converters, stub_registry
-from .errors import MmlError
+from .errors import MalformedInput, MmlError
 
 _FEATURE_ALIASES = {name.replace("_", "-"): name for name in core.CLEANABLE_FEATURES}
 
@@ -44,10 +44,13 @@ def format_number(value: float) -> str:
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def _check_paths_exist(paths, parser):

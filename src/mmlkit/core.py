@@ -10,6 +10,19 @@ Parsing is fault tolerant on demand: lenient mode runs a fixed, reportable
 repair pipeline over the raw text (namespace injection, named-entity
 replacement, namespace-prefix dropping) before handing it to the XML parser,
 and records every repair it applied.
+
+The XML parser's handlers build each element's :class:`MathNode` exactly
+once, when the element closes; MathML namespace declarations are dropped and
+the strict-mode namespace checks run in that same pass.  Elements may nest at
+most :data:`MAX_DEPTH` levels deep (the math element is level 1); deeper input
+raises :class:`MalformedInput`, which keeps every recursive operation on a
+parsed document well inside Python's recursion limit.
+
+:class:`MathDoc` enumerates the tree once, in preorder, and every reader
+works on that enumeration: a node's subtree, and each branch, is one
+contiguous slice of ``doc.nodes``.  A node object may occur at several places
+in a hand-built tree; each occurrence has its own handle, and
+:meth:`MathDoc.handle` returns the first of them in preorder.
 """
 
 from __future__ import annotations
@@ -26,6 +39,9 @@ MATHML_NS = "http://www.w3.org/1998/Math/MathML"
 XML_NS = "http://www.w3.org/XML/1998/namespace"
 TEX_ENCODING = "application/x-tex"
 CONTENT_ENCODING = "MathML-Content"
+
+#: Deepest element nesting ``parse`` accepts, counting the math element.
+MAX_DEPTH = 128
 
 #: Repair kinds recorded by the lenient pipeline, in pipeline order.
 REPAIR_NAMESPACE_INSERTED = "namespace-inserted"
@@ -159,41 +175,34 @@ class MathDoc:
 
         nodes: list[MathNode] = []
         parents: list[Optional[int]] = []
-        child_handles: list[list[int]] = []
+        children: list[list[int]] = []
         by_identity: dict[int, int] = {}
-
-        def visit(node: MathNode, parent: Optional[int]) -> int:
+        ids: dict[str, int] = {}
+        stack: list[tuple[MathNode, Optional[int]]] = [(root, None)]
+        while stack:
+            node, parent = stack.pop()
             handle = len(nodes)
             nodes.append(node)
             parents.append(parent)
-            child_handles.append([])
-            by_identity[id(node)] = handle
+            children.append([])
+            by_identity.setdefault(id(node), handle)
             if parent is not None:
-                child_handles[parent].append(handle)
-            for child in node.children:
-                visit(child, handle)
-            return handle
-
-        visit(root, None)
-        self._nodes = tuple(nodes)
-        self._parents = tuple(parents)
-        self._children = tuple(tuple(c) for c in child_handles)
-        self._by_identity = by_identity
-
-        sizes = [1] * len(nodes)
-        for handle in range(len(nodes) - 1, -1, -1):
-            for child in self._children[handle]:
-                sizes[handle] += sizes[child]
-        self._sizes = tuple(sizes)
-
-        ids: dict[str, int] = {}
-        for handle, node in enumerate(self._nodes):
+                children[parent].append(handle)
+            stack.extend((child, handle) for child in reversed(node.children))
             id_value = node.attr("id")
             if id_value is not None:
                 if id_value in ids:
                     raise DuplicateId(id_value)
                 ids[id_value] = handle
-        self._ids = ids
+        self._nodes = tuple(nodes)
+        self._parents = tuple(parents)
+        self._children = tuple(tuple(c) for c in children)
+        self._by_identity = by_identity
+
+        sizes = [1] * len(nodes)
+        for handle in range(len(nodes) - 1, 0, -1):
+            sizes[parents[handle]] += sizes[handle]
+        self._sizes = tuple(sizes)
 
         xref_map: dict[str, int] = {}
         dangling: list[tuple[int, str]] = []
@@ -217,29 +226,24 @@ class MathDoc:
             for node in self._nodes
             if node.name == "annotation"
         )
+        self._presentation, self._content = self._detect_branches()
 
-        pres, content = self._detect_branches(root)
-        self._presentation_nodes = pres
-        self._content_nodes = content
-
-    @staticmethod
-    def _detect_branches(root: MathNode):
-        semantics = next((c for c in root.children if c.name == "semantics"), None)
+    def _detect_branches(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Handles of the top-level presentation and content nodes."""
+        nodes, top = self._nodes, self._children[0]
+        semantics = next((h for h in top if nodes[h].name == "semantics"), None)
         if semantics is None:
-            children = root.children
-            if children and children[0].name in CONTENT_ELEMENTS:
-                return (), children
-            return children, ()
+            if top and nodes[top[0]].name in CONTENT_ELEMENTS:
+                return (), top
+            return top, ()
+        wrapped = self._children[semantics]
         pres = tuple(
-            c for c in semantics.children
-            if c.name not in ("annotation", "annotation-xml")
+            h for h in wrapped if nodes[h].name not in ("annotation", "annotation-xml")
         )[:1]
-        content: tuple[MathNode, ...] = ()
-        for child in semantics.children:
-            if child.name == "annotation-xml" and child.attr("encoding") == CONTENT_ENCODING:
-                content = child.children
-                break
-        return pres, content
+        for h in wrapped:
+            if nodes[h].name == "annotation-xml" and nodes[h].attr("encoding") == CONTENT_ENCODING:
+                return pres, self._children[h]
+        return pres, ()
 
     # -- structure accessors ------------------------------------------------
 
@@ -256,7 +260,10 @@ class MathDoc:
         return self._nodes[handle]
 
     def handle(self, node: MathNode) -> int:
-        """Handle of a node object belonging to this document."""
+        """Handle of a node object belonging to this document.
+
+        A node object that occurs at several places (a shared subtree) gets
+        the handle of its first occurrence in preorder."""
         try:
             return self._by_identity[id(node)]
         except KeyError:
@@ -282,24 +289,37 @@ class MathDoc:
     @property
     def presentation_nodes(self) -> tuple[MathNode, ...]:
         """Top-level nodes of the presentation branch (may be empty)."""
-        return self._presentation_nodes
+        return tuple(self._nodes[h] for h in self._presentation)
 
     @property
     def content_nodes(self) -> tuple[MathNode, ...]:
         """Top-level nodes of the content branch (may be empty)."""
-        return self._content_nodes
+        return tuple(self._nodes[h] for h in self._content)
 
     @property
     def presentation_root(self) -> Optional[int]:
-        if not self._presentation_nodes:
-            return None
-        return self.handle(self._presentation_nodes[0])
+        return self._presentation[0] if self._presentation else None
 
     @property
     def content_root(self) -> Optional[int]:
-        if not self._content_nodes:
-            return None
-        return self.handle(self._content_nodes[0])
+        return self._content[0] if self._content else None
+
+    def branch(self, name: Optional[str]) -> range:
+        """Handles of every node in the ``"presentation"`` or ``"content"``
+        branch, or in the whole document for ``None``.  A branch's top-level
+        nodes are consecutive siblings, so its nodes are one preorder slice:
+        ``doc.nodes[r.start:r.stop]`` for the returned range ``r``."""
+        if name is None:
+            return range(len(self._nodes))
+        if name == "presentation":
+            top = self._presentation
+        elif name == "content":
+            top = self._content
+        else:
+            raise ValueError(f"unknown branch {name!r}")
+        if not top:
+            raise MissingBranch(f"document has no {name} branch")
+        return range(top[0], top[-1] + self._sizes[top[-1]])
 
     @property
     def annotations(self) -> tuple[tuple[str, str], ...]:
@@ -341,7 +361,8 @@ class MathDoc:
 # ---------------------------------------------------------------------------
 
 def _byte_offset(text: str, index: int) -> int:
-    return len(text[:index].encode("utf-8"))
+    # a lone surrogate has no UTF-8 form; expat rejects the input later
+    return len(text[:index].encode("utf-8", "surrogatepass"))
 
 
 def _scan_markup(text: str) -> list[tuple[str, int, int]]:
@@ -505,18 +526,64 @@ def _repair(text: str) -> tuple[str, list[Repair]]:
 # ---------------------------------------------------------------------------
 
 class _Builder:
-    def __init__(self):
-        self._stack: list[list] = []
+    """Expat handlers that build each element's :class:`MathNode` once, when
+    it closes.  MathML namespace declarations are dropped on the way (the
+    namespace is implicit in the model).  In strict mode the first
+    namespace violation in preorder is recorded in ``violation`` rather than
+    raised, so that a later well-formedness error still takes precedence."""
+
+    def __init__(self, strict: bool):
+        self._strict = strict
+        self._stack: list[list] = []  # [name, attributes, text parts, children, prefix scope]
         self.root: Optional[MathNode] = None
+        self.violation: Optional[str] = None
 
     def start(self, name, attrs):
-        pairs = tuple((attrs[i], attrs[i + 1]) for i in range(0, len(attrs), 2))
-        self._stack.append([name, pairs, [], []])
+        if len(self._stack) >= MAX_DEPTH:
+            raise MalformedInput(f"elements nested deeper than {MAX_DEPTH} levels")
+        pairs = [
+            (key, value) for key, value in zip(attrs[0::2], attrs[1::2])
+            if value != MATHML_NS or not (key == "xmlns" or key.startswith("xmlns:"))
+        ]
+        scope = self._stack[-1][4] if self._stack else {}
+        if self._strict and self.violation is None:
+            scope = self._check_strict(name, attrs, scope)
+        self._stack.append([name, pairs, [], [], scope])
+
+    def _check_strict(self, name, attrs, env: dict) -> dict:
+        """Record the element's first strict-mode violation; return the
+        prefix scope its children see."""
+        keys = attrs[0::2]
+        if not self._stack and "xmlns" not in keys:
+            self.violation = "math element lacks a namespace declaration (strict mode)"
+            return env
+        scope = env
+        for key, value in zip(keys, attrs[1::2]):
+            if key.startswith("xmlns:"):
+                prefix = key[6:]
+                if value == MATHML_NS:
+                    self.violation = (
+                        f"prefix {prefix!r} bound to the MathML namespace (strict mode)"
+                    )
+                    return scope
+                if scope is env:
+                    scope = dict(env)
+                scope[prefix] = value
+        prefixes = [name.split(":", 1)[0]] if ":" in name and not name.startswith("xml:") else []
+        prefixes += [
+            key.split(":", 1)[0] for key in keys
+            if ":" in key and not key.startswith(("xmlns:", "xml:"))
+        ]
+        for prefix in prefixes:
+            if prefix not in scope:
+                self.violation = f"undeclared namespace prefix {prefix!r} (strict mode)"
+                break
+        return scope
 
     def end(self, _name):
-        name, pairs, text_parts, children = self._stack.pop()
+        name, pairs, text_parts, children, _ = self._stack.pop()
         text = "".join(text_parts).strip(" \t\r\n")
-        node = MathNode(name, pairs, text or None, tuple(children))
+        node = MathNode(name, pairs, text or None, children)
         if self._stack:
             self._stack[-1][3].append(node)
         else:
@@ -525,76 +592,6 @@ class _Builder:
     def chars(self, data):
         if self._stack:
             self._stack[-1][2].append(data)
-
-
-def _expat_parse(text: str) -> MathNode:
-    parser = xml.parsers.expat.ParserCreate()  # namespace processing off
-    parser.ordered_attributes = True
-    parser.buffer_text = True
-    builder = _Builder()
-    parser.StartElementHandler = builder.start
-    parser.EndElementHandler = builder.end
-    parser.CharacterDataHandler = builder.chars
-    try:
-        parser.Parse(text, True)
-    except xml.parsers.expat.ExpatError as exc:
-        raise MalformedInput(f"not well-formed XML: {exc}") from None
-    except ValueError as exc:
-        raise MalformedInput(f"unparseable input: {exc}") from None
-    if builder.root is None:
-        raise MalformedInput("input contains no element")
-    return builder.root
-
-
-def _validate_strict(root: MathNode) -> None:
-    """Reject anything the lenient pipeline would have rewritten."""
-    if root.attr("xmlns") is None:
-        raise MalformedInput("math element lacks a namespace declaration (strict mode)")
-
-    def walk(node: MathNode, env: dict[str, str]) -> None:
-        scope = env
-        for key, value in node.attributes:
-            if key.startswith("xmlns:"):
-                prefix = key[6:]
-                if value == MATHML_NS:
-                    raise MalformedInput(
-                        f"prefix {prefix!r} bound to the MathML namespace (strict mode)"
-                    )
-                if scope is env:
-                    scope = dict(env)
-                scope[prefix] = value
-        if ":" in node.name:
-            prefix = node.name.split(":", 1)[0]
-            if prefix != "xml" and prefix not in scope:
-                raise MalformedInput(f"undeclared namespace prefix {prefix!r} (strict mode)")
-        for key, _ in node.attributes:
-            if ":" in key and not key.startswith(("xmlns:", "xml:")):
-                prefix = key.split(":", 1)[0]
-                if prefix not in scope:
-                    raise MalformedInput(
-                        f"undeclared namespace prefix {prefix!r} (strict mode)"
-                    )
-        for child in node.children:
-            walk(child, scope)
-
-    walk(root, {})
-
-
-def _strip_namespace_attrs(node: MathNode, is_root: bool) -> MathNode:
-    """Drop MathML namespace declarations (the namespace is implicit in the
-    model); keep foreign declarations verbatim."""
-    attrs = []
-    for key, value in node.attributes:
-        if key == "xmlns":
-            if value == MATHML_NS:
-                continue
-            if is_root:
-                raise MalformedInput(f"math element declares a foreign namespace {value!r}")
-        elif key.startswith("xmlns:") and value == MATHML_NS:
-            continue
-        attrs.append((key, value))
-    children = tuple(_strip_namespace_attrs(c, False) for c in node.children)
-    return MathNode(node.name, tuple(attrs), node.text, children)
 
 
 def parse(text: str, mode: str = "lenient") -> tuple[MathDoc, ParseReport]:
@@ -616,14 +613,30 @@ def parse(text: str, mode: str = "lenient") -> tuple[MathDoc, ParseReport]:
     if mode == "lenient":
         work, repairs = _repair(text)
 
-    raw_root = _expat_parse(work)
-    if raw_root.name != "math":
+    parser = xml.parsers.expat.ParserCreate()  # namespace processing off
+    parser.ordered_attributes = True
+    parser.buffer_text = True
+    builder = _Builder(strict=mode == "strict")
+    parser.StartElementHandler = builder.start
+    parser.EndElementHandler = builder.end
+    parser.CharacterDataHandler = builder.chars
+    try:
+        parser.Parse(work, True)
+    except xml.parsers.expat.ExpatError as exc:
+        raise MalformedInput(f"not well-formed XML: {exc}") from None
+    except ValueError as exc:
+        raise MalformedInput(f"unparseable input: {exc}") from None
+    root = builder.root
+    if root is None:
+        raise MalformedInput("input contains no element")
+    if root.name != "math":
         raise MalformedInput(
-            f"input does not contain a math root element (found {raw_root.name!r})"
+            f"input does not contain a math root element (found {root.name!r})"
         )
-    if mode == "strict":
-        _validate_strict(raw_root)
-    root = _strip_namespace_attrs(raw_root, True)
+    if builder.violation is not None:
+        raise MalformedInput(builder.violation)
+    if root.has_attr("xmlns"):  # MathML declarations were dropped while building
+        raise MalformedInput(f"math element declares a foreign namespace {root.attr('xmlns')!r}")
     doc = MathDoc(root)
     report = ParseReport(repairs=tuple(repairs), dangling_xrefs=doc.dangling_xrefs)
     return doc, report
@@ -715,24 +728,12 @@ def extract_identifiers(
     ``branch`` selects the presentation or content branch; ``"both"`` walks
     the entire document, so the result covers every identifier anywhere.
     """
-    if branch == "presentation":
-        roots = doc.presentation_nodes
-        if not roots:
-            raise MissingBranch("document has no presentation branch")
-    elif branch == "content":
-        roots = doc.content_nodes
-        if not roots:
-            raise MissingBranch("document has no content branch")
-    elif branch == "both":
-        roots = (doc.root,)
-    else:
-        raise ValueError(f"unknown branch {branch!r}")
-    found = []
-    for root in roots:
-        for node in iter_subtree(root):
-            if node.name in ("mi", "ci"):
-                found.append((node.name, node.text or "", doc.handle(node)))
-    return found
+    handles = doc.branch(None if branch == "both" else branch)
+    return [
+        (node.name, node.text or "", handle)
+        for handle, node in enumerate(doc.nodes[handles.start:handles.stop], handles.start)
+        if node.name in ("mi", "ci")
+    ]
 
 
 CLEANABLE_FEATURES = frozenset(
@@ -764,53 +765,42 @@ def clean(doc: MathDoc, features: Iterable[str]) -> MathDoc:
     def is_content_xml(node: MathNode) -> bool:
         return node.name == "annotation-xml" and node.attr("encoding") == CONTENT_ENCODING
 
-    def rebuild(node: MathNode) -> MathNode:
-        kept = []
-        for child in node.children:
-            if drop_annotations and child.name == "annotation":
-                continue
-            if drop_content and is_content_xml(child):
-                continue
-            kept.append(rebuild(child))
-        attrs = node.attributes
+    def kept_attributes(node: MathNode) -> tuple[tuple[str, str], ...]:
         if drop_xrefs:
-            attrs = tuple((k, v) for k, v in attrs if k not in ("id", "xref"))
-        return MathNode(node.name, attrs, node.text, tuple(kept))
+            return tuple((k, v) for k, v in node.attributes if k not in ("id", "xref"))
+        return node.attributes
+
+    def kept_children(node: MathNode) -> list[MathNode]:
+        return [
+            child for child in node.children
+            if not (drop_annotations and child.name == "annotation")
+            and not (drop_content and is_content_xml(child))
+        ]
+
+    def rebuild(node: MathNode) -> MathNode:
+        children = tuple(rebuild(child) for child in kept_children(node))
+        return MathNode(node.name, kept_attributes(node), node.text, children)
 
     def rebuild_semantics(node: MathNode) -> list[MathNode]:
-        kept = []
-        for child in node.children:
-            if drop_annotations and child.name == "annotation":
-                continue
-            if drop_content and is_content_xml(child):
-                continue
-            if drop_presentation and child.name not in ("annotation", "annotation-xml"):
-                continue
-            kept.append(rebuild(child))
+        kept = [
+            rebuild(child) for child in kept_children(node)
+            if not (drop_presentation and child.name not in ("annotation", "annotation-xml"))
+        ]
         if len(kept) == 1 and kept[0].name not in ("annotation", "annotation-xml"):
             return [kept[0]]  # lone presentation branch: unwrap semantics
         if len(kept) == 1 and is_content_xml(kept[0]):
             return list(kept[0].children)  # lone content branch: unwrap both wrappers
-        attrs = node.attributes
-        if drop_xrefs:
-            attrs = tuple((k, v) for k, v in attrs if k not in ("id", "xref"))
-        return [MathNode(node.name, attrs, node.text, tuple(kept))] if kept else []
+        return [MathNode(node.name, kept_attributes(node), node.text, tuple(kept))] if kept else []
 
     new_children: list[MathNode] = []
-    for child in doc.root.children:
+    for child in kept_children(doc.root):
         if child.name == "semantics":
             new_children.extend(rebuild_semantics(child))
-        elif drop_annotations and child.name == "annotation":
-            continue
-        elif drop_content and is_content_xml(child):
-            continue
         else:
             new_children.append(rebuild(child))
 
-    root_attrs = doc.root.attributes
-    if drop_xrefs:
-        root_attrs = tuple((k, v) for k, v in root_attrs if k not in ("id", "xref"))
-    result = MathDoc(MathNode("math", root_attrs, doc.root.text, tuple(new_children)))
+    root = MathNode("math", kept_attributes(doc.root), doc.root.text, tuple(new_children))
+    result = MathDoc(root)
     if not result.presentation_nodes and not result.content_nodes:
         raise WouldBeEmpty("cleaning would leave no math content")
     return result

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Union
 
-from .core import MathDoc, MathNode, iter_subtree
-from .errors import EmptyHistogram, MissingBranch
+from .core import MathDoc, MathNode
+from .errors import EmptyHistogram
 
 #: Wrapper elements that carry no mathematical content of their own.
 STRUCTURAL_NAMES = frozenset({"math", "semantics", "annotation", "annotation-xml"})
@@ -85,32 +85,17 @@ class Histogram:
         return "".join(f"{k}\t{self._counts[k]}\n" for k in sorted(self._counts))
 
 
-def _scope_roots(doc: MathDoc, scope: str) -> tuple[MathNode, ...]:
-    if scope == "whole":
-        return (doc.root,)
-    if scope == "presentation":
-        if not doc.presentation_nodes:
-            raise MissingBranch("document has no presentation branch")
-        return doc.presentation_nodes
-    if scope == "content":
-        if not doc.content_nodes:
-            raise MissingBranch("document has no content branch")
-        return doc.content_nodes
-    raise ValueError(f"unknown scope {scope!r}")
-
-
 def histogram(doc: MathDoc, scope: str = "whole", include_structural: bool = False) -> Histogram:
     """Element-name histogram of a document or one of its branches.
 
     Structural wrappers (math, semantics, annotation, annotation-xml) are
     excluded unless ``include_structural`` is set.
     """
-    counter: Counter[str] = Counter()
-    for root in _scope_roots(doc, scope):
-        for node in iter_subtree(root):
-            if include_structural or node.name not in STRUCTURAL_NAMES:
-                counter[node.name] += 1
-    return Histogram(counter)
+    handles = doc.branch(None if scope == "whole" else scope)
+    return Histogram(Counter(
+        node.name for node in doc.nodes[handles.start:handles.stop]
+        if include_structural or node.name not in STRUCTURAL_NAMES
+    ))
 
 
 def accumulate(histograms: Iterable[Histogram]) -> Histogram:
@@ -189,8 +174,6 @@ class _FlatTree:
     def __init__(self, root: MathNode, label_mode: str):
         labels = [None]
         lml = [0]
-        order: list[tuple[MathNode, int]] = []  # (node, postorder index)
-        index_of: dict[int, int] = {}
 
         def walk(node: MathNode) -> int:
             first_child_index = None
@@ -201,7 +184,6 @@ class _FlatTree:
             labels.append(_node_label(node, label_mode))
             my_index = len(labels) - 1
             lml.append(lml[first_child_index] if first_child_index else my_index)
-            index_of[id(node)] = my_index
             return my_index
 
         walk(root)

@@ -164,3 +164,74 @@ def encode_entities(text: str) -> tuple[str, int]:
         count += text.count(char)
         text = text.replace(char, entity)
     return text, count
+
+
+def _insert(rng: random.Random, text: str, piece: str) -> str:
+    at = rng.randint(0, len(text))
+    return text[:at] + piece + text[at:]
+
+
+def _into_start_tag(rng: random.Random, text: str, piece: str) -> str:
+    """Append ``piece`` to the attributes of a random start tag."""
+    tags = list(_TAG_OPEN_RE.finditer(text))
+    if not tags:
+        return text
+    at = rng.choice(tags).end()
+    return text[:at] + piece + text[at:]
+
+
+def _declare_prefix(rng: random.Random, text: str) -> str:
+    prefix = rng.choice(["p", "mml", "f"])
+    uri = rng.choice([MATHML_NS, "urn:o"])
+    text = _into_start_tag(rng, text, f' xmlns:{prefix}="{uri}"')
+    if rng.random() < 0.5:
+        text = _into_start_tag(rng, text, f' {rng.choice(["p", "f", "xml"])}:a="1"')
+    return text
+
+
+def _entities(rng: random.Random, text: str) -> str:
+    text, _ = encode_entities(text)
+    for _ in range(rng.randint(0, 2)):
+        text = _insert(rng, text, rng.choice(["&alpha;", "&amp;", "&bogus;", "&#945;", "&"]))
+    return text
+
+
+def _delete_chars(rng: random.Random, text: str) -> str:
+    for _ in range(rng.randint(1, 3)):
+        if text:
+            at = rng.randrange(len(text))
+            text = text[:at] + text[at + rng.randint(1, 3):]
+    return text
+
+
+def _nest(rng: random.Random, text: str) -> str:
+    """Wrap the math element's content in up to 300 nested mrow elements."""
+    depth = rng.choice([1, 126, 127, 128, 129, rng.randint(2, 300)])
+    start = text.find(">") + 1
+    end = text.rfind("</")
+    if start <= 0 or end < start:
+        return text
+    return text[:start] + "<mrow>" * depth + text[start:end] + "</mrow>" * depth + text[end:]
+
+
+#: Text mutations for robustness tests, each ``(rng, text) -> text``.
+MUTATIONS = {
+    "drop-namespace": lambda rng, text: strip_namespace(text),
+    "prefix": lambda rng, text: add_prefix(
+        text, rng.choice(["mml", "m"]), declare=rng.random() < 0.5),
+    "declare-prefix": _declare_prefix,
+    "entities": _entities,
+    "delete-chars": _delete_chars,
+    "nest": _nest,
+    "surrogate": lambda rng, text: _insert(rng, text, rng.choice(["\ud800", "\udfff"])),
+    "foreign-root": lambda rng, text: text.replace(MATHML_NS, "urn:foreign", 1),
+    "junk": lambda rng, text: _insert(
+        rng, text, rng.choice(["<", ">", "&", "'", '"', "</mi>", "<mi>"])),
+}
+
+
+def mutate(rng: random.Random, text: str, kinds) -> str:
+    """Apply the named ``MUTATIONS`` to ``text`` in order."""
+    for kind in kinds:
+        text = MUTATIONS[kind](rng, text)
+    return text

@@ -83,6 +83,17 @@ class TestFixtureParsing:
         assert reparsed == listing1_doc
 
 
+    def test_each_element_is_built_once(self, listing1_text, monkeypatch):
+        built = []
+        post_init = MathNode.__post_init__
+        monkeypatch.setattr(MathNode, "__post_init__",
+                            lambda node: built.append(node.name) or post_init(node))
+        for text, mode in ((listing1_text, "lenient"), (CANONICAL_LISTING1, "strict")):
+            built.clear()
+            doc, _ = mmlkit.parse(text, mode)
+            assert len(built) == len(doc.nodes) == 11
+
+
 class TestLenientRepairs:
     def test_namespace_insertion_minimal(self):
         doc, report = mmlkit.parse("<math><mi>x</mi></math>")
@@ -213,6 +224,44 @@ class TestParsingEdges:
             mmlkit.parse(text)
         assert "k" in str(info.value)
 
+    @pytest.mark.parametrize("text,modes,message", [
+        ("<math><mi>x</mi></math>", ("strict",),
+         "math element lacks a namespace declaration (strict mode)"),
+        (f'<math xmlns="{NS}"><mi xmlns:m="{NS}">x</mi></math>', ("strict",),
+         "prefix 'm' bound to the MathML namespace (strict mode)"),
+        (f'<math xmlns="{NS}"><f:mi>x</f:mi></math>', ("strict",),
+         "undeclared namespace prefix 'f' (strict mode)"),
+        (f'<math xmlns="{NS}"><mi f:a="1">x</mi></math>', ("strict",),
+         "undeclared namespace prefix 'f' (strict mode)"),
+        # a declaration is scoped to its element's subtree
+        (f'<math xmlns="{NS}"><mrow xmlns:f="urn:o"/><f:mi>x</f:mi></math>', ("strict",),
+         "undeclared namespace prefix 'f' (strict mode)"),
+        # the first violation in preorder wins; the element name before its attributes
+        (f'<math xmlns="{NS}"><g:mi f:a="1">x</g:mi><mi xmlns:m="{NS}">y</mi></math>',
+         ("strict",), "undeclared namespace prefix 'g' (strict mode)"),
+        ('<math xmlns="urn:o"><mi>x</mi></math>', ("lenient", "strict"),
+         "math element declares a foreign namespace 'urn:o'"),
+        # strict violations take precedence over a foreign root namespace
+        ('<math xmlns="urn:o"><f:mi>x</f:mi></math>', ("strict",),
+         "undeclared namespace prefix 'f' (strict mode)"),
+        ('<math xmlns="urn:o"><f:mi>x</f:mi></math>', ("lenient",),
+         "math element declares a foreign namespace 'urn:o'"),
+        # well-formedness and the root name take precedence over strict checks
+        ("<math><mi>x</mi>", ("strict",), "not well-formed XML: "),
+        ("<mrow><f:mi>x</f:mi></mrow>", ("lenient", "strict"),
+         "input does not contain a math root element (found 'mrow')"),
+    ])
+    def test_error_messages_and_precedence(self, text, modes, message):
+        for mode in modes:
+            with pytest.raises(MalformedInput) as info:
+                mmlkit.parse(text, mode)
+            assert str(info.value).startswith(message)
+
+    @pytest.mark.parametrize("mode", ["lenient", "strict"])
+    def test_lone_surrogate_is_malformed(self, mode):
+        with pytest.raises(MalformedInput, match="unparseable input"):
+            mmlkit.parse("<math>\ud800&alpha;</math>", mode)
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             mmlkit.parse("<math/>", "relaxed")
@@ -284,6 +333,13 @@ class TestModel:
         ]
         for handle, node in enumerate(doc.nodes):
             assert doc.handle(node) == handle
+
+    def test_shared_subtree_gets_a_handle_per_occurrence(self):
+        leaf = MathNode("mi", (), "x")
+        doc = MathDoc(MathNode("math", (), None, (MathNode("mrow", (), None, (leaf, leaf)),)))
+        assert mmlkit.extract_identifiers(doc) == [("mi", "x", 2), ("mi", "x", 3)]
+        assert mmlkit.histogram(doc) == mmlkit.Histogram({"mrow": 1, "mi": 2})
+        assert doc.handle(leaf) == 2
 
     def test_parent_child_consistency(self):
         rng = random.Random(7)

@@ -1,0 +1,81 @@
+"""Inputs at the edges: nesting depth, non-UTF-8 files, mutated documents."""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import mmlkit
+from mmlkit import MalformedInput, MathDoc, MmlError, cli
+from mmlkit.convert import canonicalize
+from mmlkit.core import MAX_DEPTH
+
+import generators
+
+NS = mmlkit.MATHML_NS
+
+
+def nested(levels: int) -> str:
+    """A document whose elements nest ``levels`` deep, math included."""
+    inner = levels - 2
+    return f'<math xmlns="{NS}">' + "<mrow>" * inner + "<mi>x</mi>" + "</mrow>" * inner + "</math>"
+
+
+def with_frames(frames: int, fn):
+    """Call ``fn`` with ``frames`` extra Python frames on the stack."""
+    return fn() if frames == 0 else with_frames(frames - 1, fn)
+
+
+class TestDepthLimit:
+    @pytest.mark.parametrize("mode", ["lenient", "strict"])
+    def test_limit_is_inclusive(self, mode):
+        doc, _ = mmlkit.parse(nested(MAX_DEPTH), mode)
+        assert len(doc.nodes) == MAX_DEPTH
+        assert doc.parent(MAX_DEPTH - 1) == MAX_DEPTH - 2
+
+    @pytest.mark.parametrize("mode", ["lenient", "strict"])
+    @pytest.mark.parametrize("levels", [MAX_DEPTH + 1, 500, 10_000])
+    def test_deeper_input_is_malformed(self, mode, levels):
+        with pytest.raises(MalformedInput, match=f"deeper than {MAX_DEPTH} levels"):
+            mmlkit.parse(nested(levels), mode)
+
+    def test_operations_at_the_limit_with_a_deep_caller(self):
+        text = nested(MAX_DEPTH)
+        doc, _ = mmlkit.parse(text, "strict")
+        other, _ = mmlkit.parse(text, "strict")
+        checks = {
+            "==": lambda: doc == other,
+            "serialize": lambda: mmlkit.serialize(doc) == text,
+            "canonicalize": lambda: canonicalize(doc) == doc,
+            "clean": lambda: mmlkit.clean(doc, {"annotations"}) == doc,
+            "tree_edit_distance": lambda: mmlkit.tree_edit_distance(doc, other) == 0.0,
+            "strict round trip": lambda: mmlkit.parse(mmlkit.serialize(doc), "strict")[0] == doc,
+        }
+        for name, check in checks.items():
+            assert with_frames(200, check), name
+
+
+def test_cli_reports_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.mml"
+    path.write_bytes("<math><mi>é</mi></math>".encode("latin-1"))
+    assert cli.run(["parse", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"mml parse: error: {path}: not UTF-8 text")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kinds=st.lists(st.sampled_from(sorted(generators.MUTATIONS)), max_size=4),
+)
+def test_mutated_documents_parse_or_raise_mml_errors(seed, kinds):
+    rng = random.Random(seed)
+    text = mmlkit.serialize(generators.random_doc(rng), pretty=rng.random() < 0.3)
+    text = generators.mutate(rng, text, kinds)
+    for mode in ("lenient", "strict"):
+        try:
+            doc, _ = mmlkit.parse(text, mode)
+        except MmlError:
+            continue
+        assert isinstance(doc, MathDoc)
