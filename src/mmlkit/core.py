@@ -15,8 +15,9 @@ The XML parser's handlers build each element's :class:`MathNode` exactly
 once, when the element closes; MathML namespace declarations are dropped and
 the strict-mode namespace checks run in that same pass.  Elements may nest at
 most :data:`MAX_DEPTH` levels deep (the math element is level 1); deeper input
-raises :class:`MalformedInput`, which keeps every recursive operation on a
-parsed document well inside Python's recursion limit.
+raises :class:`MalformedInput`, which keeps the operations that still recurse
+per level (``==``, ``clean``, ``canonicalize``) well inside Python's
+recursion limit; serialization is iterative.
 
 :class:`MathDoc` enumerates the tree once, in preorder, and every reader
 works on that enumeration: a node's subtree, and each branch, is one
@@ -654,40 +655,47 @@ def _escape_attr(value: str) -> str:
     return _escape_text(value).replace('"', "&quot;")
 
 
-def _emit(node: MathNode, out: list[str], depth: int, pretty: bool,
-          extra_attrs: tuple[tuple[str, str], ...] = ()) -> None:
-    indent = "  " * depth if pretty else ""
-    attrs = "".join(
-        f' {key}="{_escape_attr(value)}"' for key, value in extra_attrs + node.attributes
-    )
-    if not node.children and node.text is None:
-        out.append(f"{indent}<{node.name}{attrs}/>")
-        return
-    if not node.children:
-        out.append(f"{indent}<{node.name}{attrs}>{_escape_text(node.text)}</{node.name}>")
-        return
-    out.append(f"{indent}<{node.name}{attrs}>")
-    if node.text is not None:
-        out.append(("  " * (depth + 1) if pretty else "") + _escape_text(node.text))
-    for child in node.children:
-        _emit(child, out, depth + 1, pretty)
-    out.append(f"{indent}</{node.name}>")
+def _emit(root: MathNode, pretty: bool,
+          extra_attrs: tuple[tuple[str, str], ...] = ()) -> str:
+    out: list[str] = []
+    # one (remaining children, closing tag) entry per open ancestor
+    stack: list[tuple[Iterator[MathNode], str]] = []
+    node, extra = root, extra_attrs
+    while True:
+        name, children, text = node.name, node.children, node.text
+        indent = "  " * len(stack) if pretty else ""
+        attrs = "".join(
+            f' {key}="{_escape_attr(value)}"' for key, value in extra + node.attributes
+        ) if extra or node.attributes else ""
+        if children:
+            out.append(f"{indent}<{name}{attrs}>")
+            if text is not None:
+                out.append(("  " * (len(stack) + 1) if pretty else "") + _escape_text(text))
+            stack.append((iter(children), f"{indent}</{name}>"))
+        elif text is None:
+            out.append(f"{indent}<{name}{attrs}/>")
+        else:
+            out.append(f"{indent}<{name}{attrs}>{_escape_text(text)}</{name}>")
+        while stack:
+            node = next(stack[-1][0], None)
+            if node is not None:
+                break
+            out.append(stack.pop()[1])
+        else:
+            return "\n".join(out) if pretty else "".join(out)
+        extra = ()
 
 
 def serialize_node(node: MathNode, pretty: bool = False) -> str:
     """Serialize a node subtree as an XML fragment (no namespace injected)."""
-    out: list[str] = []
-    _emit(node, out, 0, pretty)
-    return "\n".join(out) if pretty else "".join(out)
+    return _emit(node, pretty)
 
 
 def serialize(doc: MathDoc, pretty: bool = False) -> str:
     """Serialize a document as well-formed XML with the MathML namespace
     declared on the math element.  Byte-deterministic for a given input;
     ``parse(serialize(doc), "strict")`` reproduces an equal tree."""
-    out: list[str] = []
-    _emit(doc.root, out, 0, pretty, extra_attrs=(("xmlns", MATHML_NS),))
-    return "\n".join(out) if pretty else "".join(out)
+    return _emit(doc.root, pretty, extra_attrs=(("xmlns", MATHML_NS),))
 
 
 # ---------------------------------------------------------------------------

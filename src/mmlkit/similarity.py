@@ -5,7 +5,8 @@ element-name histogram or a labeled ordered tree, then compares those:
 
 * L1 histogram distance, absolute and relative,
 * ordered tree edit distance (Zhang/Shasha) with configurable costs,
-* earth mover's distance, solved exactly as a small transportation problem,
+* earth mover's distance, exact: half the integer L1 distance under the
+  discrete ground, a small min-cost flow problem under override grounds,
 * cosine similarity of histogram vectors,
 * aggregate document-collection distance over any of the histogram measures.
 """
@@ -161,39 +162,26 @@ class CostConfig:
             object.__setattr__(self, op, float(value))
 
 
-def _node_label(node: MathNode, label_mode: str):
-    if label_mode == "name-text" and not node.children:
-        return (node.name, node.text)
-    return node.name
-
-
-class _FlatTree:
-    """Postorder arrays for Zhang/Shasha: labels, leftmost-leaf indices,
-    and keyroots, all 1-indexed."""
-
-    def __init__(self, root: MathNode, label_mode: str):
-        labels = [None]
-        lml = [0]
-
-        def walk(node: MathNode) -> int:
-            first_child_index = None
-            for child in node.children:
-                child_index = walk(child)
-                if first_child_index is None:
-                    first_child_index = child_index
-            labels.append(_node_label(node, label_mode))
-            my_index = len(labels) - 1
-            lml.append(lml[first_child_index] if first_child_index else my_index)
-            return my_index
-
-        walk(root)
-        self.n = len(labels) - 1
-        self.labels = labels
-        self.lml = lml
-        last_with_lml: dict[int, int] = {}
-        for i in range(1, self.n + 1):
-            last_with_lml[lml[i]] = i
-        self.keyroots = sorted(last_with_lml.values())
+def _flatten(root: MathNode, label_mode: str, intern: dict) -> tuple[list, list, list]:
+    """Postorder arrays for Zhang/Shasha, 1-indexed: labels interned to small
+    ints through ``intern``, leftmost-leaf indices, and the keyroots (the
+    last node with each leftmost leaf), ascending."""
+    with_text = label_mode == "name-text"
+    labels = [None]
+    lml = [0]
+    stack = [(root, iter(root.children), 1)]
+    while stack:
+        node, children, first = stack[-1]
+        child = next(children, None)
+        if child is not None:
+            stack.append((child, iter(child.children), len(labels)))
+            continue
+        stack.pop()
+        label = (node.name, node.text) if with_text and not node.children else node.name
+        labels.append(intern.setdefault(label, len(intern)))
+        lml.append(first)
+    last_with_lml = {first: k for k, first in enumerate(lml) if k}
+    return labels, lml, sorted(last_with_lml.values())
 
 
 def _as_node(tree: Union[MathDoc, MathNode]) -> MathNode:
@@ -215,40 +203,62 @@ def tree_edit_distance(
     if label_mode not in ("name", "name-text"):
         raise ValueError(f"unknown label mode {label_mode!r}")
     costs = costs or CostConfig()
-    ta = _FlatTree(_as_node(a), label_mode)
-    tb = _FlatTree(_as_node(b), label_mode)
+    intern: dict = {}
+    labels_a, lml_a, keyroots_a = _flatten(_as_node(a), label_mode, intern)
+    labels_b, lml_b, keyroots_b = _flatten(_as_node(b), label_mode, intern)
     insert, delete, rename = costs.insert, costs.delete, costs.rename
 
-    td = [[0.0] * (tb.n + 1) for _ in range(ta.n + 1)]
-    for i in ta.keyroots:
-        for j in tb.keyroots:
-            li, lj = ta.lml[i], tb.lml[j]
-            m, n = i - li + 2, j - lj + 2
-            fd = [[0.0] * n for _ in range(m)]
-            ioff, joff = li - 1, lj - 1
-            for x in range(1, m):
-                fd[x][0] = fd[x - 1][0] + delete
-            for y in range(1, n):
-                fd[0][y] = fd[0][y - 1] + insert
-            for x in range(1, m):
-                for y in range(1, n):
-                    if ta.lml[x + ioff] == li and tb.lml[y + joff] == lj:
-                        cost = 0.0 if ta.labels[x + ioff] == tb.labels[y + joff] else rename
-                        fd[x][y] = min(
-                            fd[x - 1][y] + delete,
-                            fd[x][y - 1] + insert,
-                            fd[x - 1][y - 1] + cost,
-                        )
-                        td[x + ioff][y + joff] = fd[x][y]
-                    else:
-                        p = ta.lml[x + ioff] - 1 - ioff
-                        q = tb.lml[y + joff] - 1 - joff
-                        fd[x][y] = min(
-                            fd[x - 1][y] + delete,
-                            fd[x][y - 1] + insert,
-                            fd[p][q] + td[x + ioff][y + joff],
-                        )
-    return td[ta.n][tb.n]
+    # td[x][y] is the distance between the subtrees rooted at x and y.  For
+    # the keyroot pair (i, j), fd[x][y] is the distance between the forests
+    # lml_a[i]..x and lml_b[j]..y, indexed by postorder number, with row
+    # li - 1 and column lj - 1 standing for the empty forest.  A pair writes
+    # every cell it reads first, so one fd serves every pair.
+    td = [[0.0] * len(labels_b) for _ in labels_a]
+    fd = [[0.0] * len(labels_b) for _ in labels_a]
+    for i in keyroots_a:
+        li = lml_a[i]
+        for j in keyroots_b:
+            lj = lml_b[j]
+            cols = range(lj, j + 1)
+            prev = fd[li - 1]
+            prev[lj - 1] = left = 0.0
+            for y in cols:
+                prev[y] = left = left + insert
+            for x in range(li, i + 1):
+                row, td_row, lx = fd[x], td[x], lml_a[x]
+                row[lj - 1] = left = prev[lj - 1] + delete
+                # fd[p][q] + td[x][y], with p, q the forests left of x and y
+                before = fd[lx - 1]
+                if lx != li:
+                    for y in cols:
+                        best = prev[y] + delete
+                        value = left + insert
+                        if value < best:
+                            best = value
+                        value = before[lml_b[y] - 1] + td_row[y]
+                        if value < best:
+                            best = value
+                        row[y] = left = best
+                else:
+                    label = labels_a[x]
+                    for y in cols:
+                        best = prev[y] + delete
+                        value = left + insert
+                        if value < best:
+                            best = value
+                        ly = lml_b[y]
+                        if ly == lj:
+                            value = prev[y - 1] + (0.0 if label == labels_b[y] else rename)
+                            if value < best:
+                                best = value
+                            td_row[y] = best
+                        else:
+                            value = before[ly - 1] + td_row[y]
+                            if value < best:
+                                best = value
+                        row[y] = left = best
+                prev = row
+    return td[-1][-1]
 
 
 # ---------------------------------------------------------------------------
@@ -347,21 +357,28 @@ def _min_cost_transport(supply: list[int], demand: list[int],
 
 def emd(a: Histogram, b: Histogram, ground: Optional[GroundDistance] = None) -> float:
     """Earth mover's distance between the two histograms, each normalized to
-    total mass 1, solved exactly.
+    total mass 1, computed exactly.
 
-    Masses are brought to a common integer scale (the lcm of the totals), the
-    resulting balanced transportation problem is solved with exact integer
-    flows, and the optimal cost is scaled back.  With the discrete ground
-    metric this equals half the L1 distance of the normalized histograms.
+    Masses are brought to a common integer scale (the lcm of the totals).
+    Under the discrete ground (no overrides) the optimal transport moves
+    exactly the mass by which the two histograms differ, so the distance is
+    half their L1 distance, summed in integers and divided once.  Override
+    grounds solve the balanced transportation problem with exact integer
+    flows, and the optimal cost is scaled back.
     """
-    ground = ground or GroundDistance()
     if a.total == 0 or b.total == 0:
         raise EmptyHistogram("earth mover's distance needs non-empty histograms")
+    scale = math.lcm(a.total, b.total)
+    scale_a, scale_b = scale // a.total, scale // b.total
+    if ground is None or not ground._overrides:
+        # the L1 distance is even: its terms sum to 2 * scale - 2 * overlap
+        l1 = sum(abs(count * scale_a - b[key] * scale_b) for key, count in a.counts.items())
+        l1 += sum(count * scale_b for key, count in b.counts.items() if key not in a.counts)
+        return (l1 // 2) / scale
     keys_a = sorted(a.counts)
     keys_b = sorted(b.counts)
-    scale = math.lcm(a.total, b.total)
-    supply = [a[k] * (scale // a.total) for k in keys_a]
-    demand = [b[k] * (scale // b.total) for k in keys_b]
+    supply = [a[k] * scale_a for k in keys_a]
+    demand = [b[k] * scale_b for k in keys_b]
     cost = [[ground.distance(ka, kb) for kb in keys_b] for ka in keys_a]
     return _min_cost_transport(supply, demand, cost) / scale
 

@@ -56,6 +56,16 @@ class TestDepthLimit:
             assert with_frames(200, check), name
 
 
+def test_hand_built_tree_deeper_than_the_recursion_limit():
+    # MAX_DEPTH bounds parsed input only; a hand-built tree may nest deeper
+    node = mmlkit.MathNode("mi", (), "x")
+    for _ in range(998):
+        node = mmlkit.MathNode("mrow", (), None, (node,))
+    chain = mmlkit.MathNode("math", (), None, (node,))
+    assert mmlkit.serialize(MathDoc(chain)) == nested(1000)
+    assert mmlkit.tree_edit_distance(chain, mmlkit.MathNode("math")) == 999.0
+
+
 def test_cli_reports_a_file_that_is_not_utf8(tmp_path, capsys):
     path = tmp_path / "latin1.mml"
     path.write_bytes("<math><mi>é</mi></math>".encode("latin-1"))

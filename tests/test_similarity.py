@@ -265,6 +265,32 @@ class TestTreeEditDistance:
             )
             assert actual == pytest.approx(expected, abs=1e-9)
 
+    def test_name_text_mode_matches_reference_random_costs(self):
+        # leaves are labeled (name, text) and inner nodes by name alone, so a
+        # leaf "a" without text must still differ from an inner "a"
+        rng = random.Random(131)
+
+        def with_leaf_texts(tree):
+            label, children = tree
+            kids = tuple(with_leaf_texts(c) for c in children)
+            return mmlkit.MathNode(label, (), None if kids else rng.choice(["x", "y", None]), kids)
+
+        for _ in range(60):
+            a = with_leaf_texts(generators.random_label_tree(rng))
+            b = with_leaf_texts(generators.random_label_tree(rng))
+            ins = rng.choice([0.0, 0.5, 1.0, 2.5])
+            dele = rng.choice([0.0, 0.5, 1.0, 3.0])
+            ren = rng.choice([0.0, 0.7, 1.0, 2.0])
+            expected = oracles.ted_reference(
+                oracles.as_label_tree(a, with_text=True),
+                oracles.as_label_tree(b, with_text=True),
+                ins, dele, ren,
+            )
+            actual = mmlkit.tree_edit_distance(
+                a, b, CostConfig(insert=ins, delete=dele, rename=ren), label_mode="name-text"
+            )
+            assert actual == pytest.approx(expected, abs=1e-9)
+
     def test_metric_axioms_unit_costs(self):
         rng = random.Random(101)
         trees = [generators.random_label_tree(rng, 6) for _ in range(12)]
@@ -346,6 +372,26 @@ class TestEmd:
             expected = oracles.emd_half_l1(a, b)
             assert mmlkit.emd(Histogram(a), Histogram(b)) == pytest.approx(
                 expected, abs=1e-9
+            )
+
+    def test_flow_solver_matches_closed_form(self):
+        # an override of 1.0 keeps the discrete metric but takes the flow
+        # solver instead of the half-L1 form, and both are exact
+        rng = random.Random(127)
+        pairs = [
+            (generators.random_histogram(rng), generators.random_histogram(rng))
+            for _ in range(200)
+        ]
+        universe = [f"k{i}" for i in range(80)]
+        for _ in range(10):
+            pairs.append(tuple(
+                {k: rng.randint(1, 200) for k in rng.sample(universe, rng.randint(30, 60))}
+                for _ in "ab"
+            ))
+        ground = GroundDistance({("mi", "mo"): 1.0})
+        for a, b in pairs:
+            assert mmlkit.emd(Histogram(a), Histogram(b)) == mmlkit.emd(
+                Histogram(a), Histogram(b), ground
             )
 
     def test_matches_assignment_oracle_with_overrides(self):
