@@ -275,10 +275,9 @@ def canonicalize(
             raise OutputNotMathML(spec.name, stdout, str(exc)) from None
         return result
 
-    def rebuild(node: MathNode) -> MathNode:
-        children = tuple(rebuild(c) for c in node.children)
+    def rebuild(node: MathNode, children: tuple[MathNode, ...]) -> MathNode:
         if node.name == "semantics":
             children = _reorder_semantics(children)
-        return MathNode(node.name, tuple(sorted(node.attributes)), node.text, children)
+        return core._node(node.name, tuple(sorted(node.attributes)), node.text, children)
 
-    return MathDoc(rebuild(doc.root))
+    return MathDoc(core._rebuild(doc, rebuild))

@@ -6,18 +6,22 @@ text) wrapped in a :class:`MathDoc` that indexes branches, annotations, and
 id/xref cross-references.  Everything is immutable; operations that "modify"
 a document return a new one, so documents can be shared freely across threads.
 
-Parsing is fault tolerant on demand: lenient mode runs a fixed, reportable
-repair pipeline over the raw text (namespace injection, named-entity
-replacement, namespace-prefix dropping) before handing it to the XML parser,
-and records every repair it applied.
+Parsing is fault tolerant on demand: lenient mode first repairs the raw text
+(namespace injection, named-entity replacement, namespace-prefix dropping) in
+one forward scan and records every repair.  The scan skips comments, CDATA,
+processing instructions and declarations, and judges a prefix in the scope of
+the ``xmlns:`` declarations on the element and its open ancestors, as strict
+mode does.  Errors from the XML parser give line, column and position in the
+original input, also after a repair rewrote it.
 
 The XML parser's handlers build each element's :class:`MathNode` exactly
-once, when the element closes; MathML namespace declarations are dropped and
-the strict-mode namespace checks run in that same pass.  Elements may nest at
+once, when the element closes, through :func:`_node`, which skips the public
+constructor's checks; MathML namespace declarations are dropped and the
+strict-mode namespace checks run in that same pass.  Elements may nest at
 most :data:`MAX_DEPTH` levels deep (the math element is level 1); deeper input
-raises :class:`MalformedInput`, which keeps the operations that still recurse
-per level (``==``, ``clean``, ``canonicalize``) well inside Python's
-recursion limit; serialization is iterative.
+raises :class:`MalformedInput`, which keeps ``==``, still recursive, well
+inside Python's recursion limit; serialization, ``clean`` and
+``canonicalize`` are iterative.
 
 :class:`MathDoc` enumerates the tree once, in preorder, and every reader
 works on that enumeration: a node's subtree, and each branch, is one
@@ -30,9 +34,10 @@ from __future__ import annotations
 
 import re
 import xml.parsers.expat
+from collections.abc import Mapping
 from dataclasses import dataclass
 from html.entities import html5 as _HTML5_ENTITIES
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import DuplicateId, MalformedInput, MissingBranch, WouldBeEmpty
 
@@ -48,6 +53,8 @@ MAX_DEPTH = 128
 REPAIR_NAMESPACE_INSERTED = "namespace-inserted"
 REPAIR_ENTITY_REPLACED = "entity-replaced"
 REPAIR_ATTRIBUTE_NAMESPACE_DROPPED = "attribute-namespace-dropped"
+_REPAIR_KINDS = (
+    REPAIR_NAMESPACE_INSERTED, REPAIR_ENTITY_REPLACED, REPAIR_ATTRIBUTE_NAMESPACE_DROPPED)
 
 #: XML's predefined entities; these are left for the XML parser itself.
 _PREDEFINED_ENTITIES = {"amp", "lt", "gt", "quot", "apos"}
@@ -73,11 +80,23 @@ CONTENT_ELEMENTS = frozenset("""
     xor
 """.split())
 
-_NAME_CHARS = r"[^\s=/<>'\"]+"
+_NAME_CHAR = r"[^\s=/<>'\"]"
 _ENTITY_RE = re.compile(r"&([A-Za-z][A-Za-z0-9]*);")
 _ATTR_RE = re.compile(
-    rf"(?P<key>{_NAME_CHARS})\s*=\s*(?P<quote>[\"'])(?P<value>.*?)(?P=quote)", re.S
+    rf"(?P<key>{_NAME_CHAR}+)\s*=\s*(?P<quote>[\"'])(?P<value>.*?)(?P=quote)", re.S
 )
+#: One markup construct, or a named entity reference outside markup.
+#: Comments, CDATA sections, processing instructions and declarations match
+#: whole (to the end of the input when unterminated) and carry no group; a
+#: start tag runs to the first ``>`` outside quotes.
+_TOKEN_RE = re.compile(
+    r"&(?P<entity>[A-Za-z][A-Za-z0-9]*);"
+    r"|<(?:!--.*?(?:-->|\Z)|!\[CDATA\[.*?(?:\]\]>|\Z)|![^>]*>?|\?(?:>|.*?(?:\?>|\Z)))"
+    rf"|</(?P<end>{_NAME_CHAR}*)[^>]*>?"
+    rf"|<(?P<start>{_NAME_CHAR}*)(?:[^>\"']+|\"[^\"]*\"?|'[^']*'?)*>?",
+    re.S,
+)
+_LINE_BREAK_RE = re.compile(r"\r\n?|\n")  # as expat counts lines
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +149,38 @@ class MathNode:
         if self.children:
             bits.append(f"children={len(self.children)}")
         return f"<MathNode {' '.join(bits)}>"
+
+
+_set_field = object.__setattr__  # frozen dataclass fields are set through object
+
+
+def _node(name: str, attributes: tuple[tuple[str, str], ...], text: Optional[str],
+          children: tuple[MathNode, ...]) -> MathNode:
+    """A :class:`MathNode` from parts already known to be valid: an element
+    expat accepted, or a rebuild of existing nodes.  ``attributes`` and
+    ``children`` must be tuples; none of the constructor's checks run."""
+    node = object.__new__(MathNode)
+    # in the constructor's order, so the instance dict stays key-sharing
+    _set_field(node, "name", name)
+    _set_field(node, "attributes", attributes)
+    _set_field(node, "text", text)
+    _set_field(node, "children", children)
+    _set_field(node, "_attr_map", dict(attributes))
+    return node
+
+
+def _rebuild(doc: MathDoc, make) -> Optional[MathNode]:
+    """Rebuild ``doc``'s tree bottom up, without recursion.
+
+    ``make(node, children)`` returns the replacement of ``node`` given the
+    replacements of its children (those that are not ``None``), or ``None``
+    to drop it; the result is the root's replacement."""
+    nodes = doc.nodes
+    built: list[Optional[MathNode]] = [None] * len(nodes)
+    for handle in range(len(nodes) - 1, -1, -1):
+        children = tuple(built[c] for c in doc.children_of(handle) if built[c] is not None)
+        built[handle] = make(nodes[handle], children)
+    return built[0]
 
 
 def iter_subtree(node: MathNode) -> Iterator[MathNode]:
@@ -361,165 +412,145 @@ class MathDoc:
 # lenient repair pipeline (runs on the raw text, before XML parsing)
 # ---------------------------------------------------------------------------
 
-def _byte_offset(text: str, index: int) -> int:
-    # a lone surrogate has no UTF-8 form; expat rejects the input later
-    return len(text[:index].encode("utf-8", "surrogatepass"))
+def _char_refs(name: str) -> Optional[str]:
+    """Character references for a named entity XML itself lacks, else None."""
+    expansion = None if name in _PREDEFINED_ENTITIES else _HTML5_ENTITIES.get(name + ";")
+    return expansion and "".join(f"&#{ord(c)};" for c in expansion)
 
 
-def _scan_markup(text: str) -> list[tuple[str, int, int]]:
-    """Spans of markup constructs: (kind, start, end) with kind in
-    start/end/comment/cdata/pi/decl.  Unterminated constructs run to EOF;
-    the XML parser rejects those later."""
-    spans = []
-    i, n = 0, len(text)
-    while True:
-        lt = text.find("<", i)
-        if lt < 0:
-            break
-        if text.startswith("<!--", lt):
-            close = text.find("-->", lt + 4)
-            end = n if close < 0 else close + 3
-            spans.append(("comment", lt, end))
-        elif text.startswith("<![CDATA[", lt):
-            close = text.find("]]>", lt + 9)
-            end = n if close < 0 else close + 3
-            spans.append(("cdata", lt, end))
-        elif text.startswith("<!", lt):
-            close = text.find(">", lt)
-            end = n if close < 0 else close + 1
-            spans.append(("decl", lt, end))
-        elif text.startswith("<?", lt):
-            close = text.find("?>", lt)
-            end = n if close < 0 else close + 2
-            spans.append(("pi", lt, end))
-        elif text.startswith("</", lt):
-            close = text.find(">", lt)
-            end = n if close < 0 else close + 1
-            spans.append(("end", lt, end))
+def _mathml_bound(prefix: str, scope: dict[str, bool]) -> bool:
+    """Whether ``prefix`` names MathML in ``scope``; undeclared ones are
+    taken as an elided MathML binding."""
+    return prefix != "xml" and prefix != "xmlns" and scope.get(prefix, True)
+
+
+def _repair(text: str) -> tuple[str, list[Repair], list[tuple[int, int, int]]]:
+    """Apply the three leniency rules in one forward scan over ``text``.
+
+    Returns the rewritten text, the repairs (rule 1, rule 2, then rule 3,
+    each located by byte offset into ``text``) and the offset map for
+    :func:`_original_index`: ``(start, end, replacement length)`` per edit.
+    A prefix is judged in the scope of the element's own and its open
+    ancestors' ``xmlns:`` declarations, as in strict mode; an end tag in the
+    scope of the element it closes.
+    """
+    out: list[str] = []  # chunks of the repaired text
+    marks: list[tuple[int, int, int]] = []
+    found: tuple[list[Repair], ...] = ([], [], [])  # per rule
+    copied = 0  # text[:copied] is accounted for in out
+    located = located_bytes = 0  # the UTF-8 length of text[:located]
+    stack: list[dict[str, bool]] = []  # prefix -> bound to MathML, per open element
+    need_math = True
+
+    def edit(start: int, end: int, replacement: str, rule: int, at: Optional[int]) -> None:
+        # Edits arrive in order of start and act as if spliced into the text
+        # from the last to the first.  In malformed input an edit can overlap
+        # the next (an entity inside a renamed tag name): the earlier edit's
+        # end then swallows what the later one wrote.
+        nonlocal copied, located, located_bytes
+        if at is not None:  # never before an earlier repair's location
+            # a lone surrogate has no UTF-8 form; expat rejects the input later
+            located_bytes += len(text[located:at].encode("utf-8", "surrogatepass"))
+            located = at
+            found[rule].append(Repair(_REPAIR_KINDS[rule], located_bytes))
+        if copied > start:
+            skip = copied - start
+            if skip > len(replacement):
+                copied = end + skip - len(replacement)
+                return
+            replacement = replacement[skip:]
         else:
-            j, quote = lt + 1, None
-            while j < n:
-                c = text[j]
-                if quote:
-                    if c == quote:
-                        quote = None
-                elif c in "\"'":
-                    quote = c
-                elif c == ">":
-                    break
-                j += 1
-            spans.append(("start", lt, min(j + 1, n)))
-        i = spans[-1][2]
-    return spans
+            out.append(text[copied:start])
+        if text.endswith(replacement, start, end):  # a dropped prefix
+            marks.append((start, end - len(replacement), 0))
+        else:
+            marks.append((start, end, len(replacement)))
+        out.append(replacement)
+        copied = end
 
-
-def _tag_name(text: str, span: tuple[str, int, int]) -> tuple[str, int]:
-    """Element name of a start/end tag span and the index where it begins."""
-    kind, start, _ = span
-    pos = start + (2 if kind == "end" else 1)
-    m = re.compile(_NAME_CHARS).match(text, pos)
-    return (m.group() if m else ""), pos
-
-
-def _iter_attrs(text: str, span: tuple[str, int, int], name_end: int):
-    """Attribute matches inside a start-tag span."""
-    _, _, end = span
-    return _ATTR_RE.finditer(text, name_end, end)
-
-
-def _repair(text: str) -> tuple[str, list[Repair]]:
-    """Apply the three-rule leniency pipeline; return rewritten text and
-    the repairs, each located by byte offset into the original input."""
-    spans = _scan_markup(text)
-    opaque = [(s, e) for kind, s, e in spans if kind in ("comment", "cdata", "pi", "decl")]
-    start_spans = [sp for sp in spans if sp[0] == "start"]
-    end_spans = [sp for sp in spans if sp[0] == "end"]
-
-    edits: list[tuple[int, int, str]] = []
-    rule1: list[Repair] = []
-    rule2: list[Repair] = []
-    rule3: list[Repair] = []
-
-    # rule 1: inject the MathML namespace when the math element declares none
-    for span in start_spans:
-        name, name_pos = _tag_name(text, span)
-        if name.rsplit(":", 1)[-1] != "math":
+    for token in _TOKEN_RE.finditer(text):
+        kind = token.lastgroup
+        if kind is None:  # comment, CDATA section, processing instruction, declaration
             continue
-        has_decl = any(
-            m.group("key") == "xmlns" or m.group("key").startswith("xmlns:")
-            for m in _iter_attrs(text, span, name_pos + len(name))
-        )
-        if not has_decl:
-            insert_at = name_pos + len(name)
-            edits.append((insert_at, insert_at, f' xmlns="{MATHML_NS}"'))
-            rule1.append(Repair(REPAIR_NAMESPACE_INSERTED, _byte_offset(text, span[1])))
-        break
+        start, end = token.span()
+        if kind == "entity":  # rule 2 in character data
+            refs = _char_refs(token.group(kind))
+            if refs is not None:
+                edit(start, end, refs, 1, start)
+            continue
 
-    # rule 2: replace HTML5/MathML named entities with character references
-    for m in _ENTITY_RE.finditer(text):
-        if any(s <= m.start() < e for s, e in opaque):
-            continue
-        name = m.group(1)
-        if name in _PREDEFINED_ENTITIES:
-            continue
-        expansion = _HTML5_ENTITIES.get(name + ";")
-        if expansion is None:
-            continue
-        replacement = "".join(f"&#{ord(c)};" for c in expansion)
-        edits.append((m.start(), m.end(), replacement))
-        rule2.append(Repair(REPAIR_ENTITY_REPLACED, _byte_offset(text, m.start())))
+        name = token.group(kind)
+        name_pos = token.start(kind)
+        name_end = name_pos + len(name)
+        opens = kind == "start"
+        edits: list[tuple[int, int, str, int, Optional[int]]] = []  # edit() arguments
+        attrs = []
+        if opens:
+            scope = stack[-1] if stack else {}
+            own: dict[str, bool] = {}  # the element's xmlns: declarations
+            is_math = need_math and (name == "math" or name.endswith(":math"))
+            # only the math element's declarations and prefixed keys matter
+            if is_math or text.find(":", name_end, end) >= 0:
+                attrs = list(_ATTR_RE.finditer(text, name_end, end))
+                for attr in attrs:
+                    if attr["key"].startswith("xmlns:"):
+                        prefix = attr["key"][6:]
+                        own[prefix] = own.get(prefix, False) or attr["value"] == MATHML_NS
+                if own:
+                    scope = {**scope, **own}
+            if not text.endswith("/>", start, end):
+                stack.append(scope)
+            # rule 1: inject the MathML namespace when the math element
+            # declares no default namespace and binds no prefix to MathML
+            if is_math:
+                need_math = False
+                if all(attr["key"] != "xmlns" for attr in attrs) and True not in own.values():
+                    edits.append((name_end, name_end, f' xmlns="{MATHML_NS}"', 0, start))
+        else:
+            scope = stack.pop() if stack else {}
 
-    # rule 3: drop namespace prefixes bound (or assumed bound) to MathML
-    declared: dict[str, set[str]] = {}
-    for span in start_spans:
-        name, name_pos = _tag_name(text, span)
-        for m in _iter_attrs(text, span, name_pos + len(name)):
-            key = m.group("key")
+        # rule 3: drop namespace prefixes bound (or assumed bound) to MathML
+        prefix, colon, local = name.partition(":")
+        if colon and _mathml_bound(prefix, scope):
+            edits.append((name_pos, name_end, local, 2, start if opens else None))
+        for attr in attrs:
+            key, key_pos = attr["key"], attr.start()
             if key.startswith("xmlns:"):
-                declared.setdefault(key[6:], set()).add(m.group("value"))
-
-    def mathml_bound(prefix: str) -> bool:
-        if prefix == "xml" or prefix == "xmlns":
-            return False
-        uris = declared.get(prefix)
-        if uris is None:
-            return True  # undeclared: assume an elided MathML binding
-        return MATHML_NS in uris
-
-    for span in start_spans + end_spans:
-        name, name_pos = _tag_name(text, span)
-        if ":" in name and mathml_bound(name.split(":", 1)[0]):
-            local = name.split(":", 1)[1]
-            edits.append((name_pos, name_pos + len(name), local))
-            if span[0] == "start":
-                rule3.append(
-                    Repair(REPAIR_ATTRIBUTE_NAMESPACE_DROPPED, _byte_offset(text, span[1]))
-                )
-        if span[0] != "start":
-            continue
-        for m in _iter_attrs(text, span, name_pos + len(name)):
-            key = m.group("key")
-            if key.startswith("xmlns:"):
-                if m.group("value") == MATHML_NS:
-                    cut = m.start()
+                if attr["value"] == MATHML_NS:
+                    cut = key_pos
                     while cut > 0 and text[cut - 1] in " \t\r\n":
                         cut -= 1
-                    edits.append((cut, m.end(), ""))
-                    rule3.append(
-                        Repair(REPAIR_ATTRIBUTE_NAMESPACE_DROPPED, _byte_offset(text, m.start()))
-                    )
-            elif ":" in key and mathml_bound(key.split(":", 1)[0]):
-                local = key.split(":", 1)[1]
-                edits.append((m.start(), m.start() + len(key), local))
-                rule3.append(
-                    Repair(REPAIR_ATTRIBUTE_NAMESPACE_DROPPED, _byte_offset(text, m.start()))
-                )
+                    edits.append((cut, attr.end(), "", 2, key_pos))
+                continue
+            prefix, colon, local = key.partition(":")
+            if colon and _mathml_bound(prefix, scope):
+                edits.append((key_pos, key_pos + len(key), local, 2, key_pos))
 
-    repaired = text
-    for start, end, replacement in sorted(edits, key=lambda e: e[0], reverse=True):
-        repaired = repaired[:start] + replacement + repaired[end:]
-    rule3.sort(key=lambda r: r.location)
-    return repaired, rule1 + rule2 + rule3
+        if text.find("&", start, end) >= 0:  # rule 2 inside the tag
+            for entity in _ENTITY_RE.finditer(text, start, end):
+                refs = _char_refs(entity.group(1))
+                if refs is not None:
+                    edits.append((entity.start(), entity.end(), refs, 1, entity.start()))
+        if len(edits) > 1:  # in order of start; at one start, in reverse rule order
+            edits.sort(key=lambda e: (e[0], -e[3]))
+        for args in edits:
+            edit(*args)
+
+    out.append(text[copied:])
+    return "".join(out), sum(found, []), marks
+
+
+def _original_index(marks: list[tuple[int, int, int]], index: int) -> int:
+    """The index in the original text of ``index`` in the repaired text: a
+    position inside a replacement maps to the start of what it replaced."""
+    shift = 0  # length change made by the edits before ``index``
+    for start, end, size in marks:
+        if index < start + shift:
+            break
+        if index < start + shift + size:
+            return start
+        shift += size - (end - start)
+    return index - shift
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +615,7 @@ class _Builder:
     def end(self, _name):
         name, pairs, text_parts, children, _ = self._stack.pop()
         text = "".join(text_parts).strip(" \t\r\n")
-        node = MathNode(name, pairs, text or None, children)
+        node = _node(name, tuple(pairs), text or None, tuple(children))
         if self._stack:
             self._stack[-1][3].append(node)
         else:
@@ -610,9 +641,9 @@ def parse(text: str, mode: str = "lenient") -> tuple[MathDoc, ParseReport]:
         raise MalformedInput("empty input")
 
     repairs: list[Repair] = []
-    work = text
+    work, marks = text, []
     if mode == "lenient":
-        work, repairs = _repair(text)
+        work, repairs, marks = _repair(text)
 
     parser = xml.parsers.expat.ParserCreate()  # namespace processing off
     parser.ordered_attributes = True
@@ -624,8 +655,18 @@ def parse(text: str, mode: str = "lenient") -> tuple[MathDoc, ParseReport]:
     try:
         parser.Parse(work, True)
     except xml.parsers.expat.ExpatError as exc:
-        raise MalformedInput(f"not well-formed XML: {exc}") from None
-    except ValueError as exc:
+        line, column = exc.lineno, exc.offset
+        if marks:  # expat's position in the repaired text, taken back to the input
+            at = len(work.encode("utf-8")[:parser.ErrorByteIndex].decode("utf-8"))
+            lines = _LINE_BREAK_RE.split(text[:_original_index(marks, at)])
+            line, column = len(lines), len(lines[-1])
+        raise MalformedInput(
+            f"not well-formed XML: {xml.parsers.expat.ErrorString(exc.code)}: "
+            f"line {line}, column {column}"
+        ) from None
+    except UnicodeEncodeError as exc:  # a lone surrogate
+        at = _original_index(marks, exc.start)
+        exc = UnicodeEncodeError(exc.encoding, text, at, at + exc.end - exc.start, exc.reason)
         raise MalformedInput(f"unparseable input: {exc}") from None
     root = builder.root
     if root is None:
@@ -773,41 +814,34 @@ def clean(doc: MathDoc, features: Iterable[str]) -> MathDoc:
     def is_content_xml(node: MathNode) -> bool:
         return node.name == "annotation-xml" and node.attr("encoding") == CONTENT_ENCODING
 
-    def kept_attributes(node: MathNode) -> tuple[tuple[str, str], ...]:
+    def rebuild(node: MathNode, children: tuple[MathNode, ...]) -> Optional[MathNode]:
+        if (drop_annotations and node.name == "annotation") or (
+                drop_content and is_content_xml(node)):
+            return None
+        attributes = node.attributes
         if drop_xrefs:
-            return tuple((k, v) for k, v in node.attributes if k not in ("id", "xref"))
-        return node.attributes
+            attributes = tuple((k, v) for k, v in attributes if k not in ("id", "xref"))
+        return _node(node.name, attributes, node.text, children)
 
-    def kept_children(node: MathNode) -> list[MathNode]:
-        return [
-            child for child in node.children
-            if not (drop_annotations and child.name == "annotation")
-            and not (drop_content and is_content_xml(child))
-        ]
-
-    def rebuild(node: MathNode) -> MathNode:
-        children = tuple(rebuild(child) for child in kept_children(node))
-        return MathNode(node.name, kept_attributes(node), node.text, children)
-
-    def rebuild_semantics(node: MathNode) -> list[MathNode]:
+    def unwrap_semantics(node: MathNode) -> list[MathNode]:
         kept = [
-            rebuild(child) for child in kept_children(node)
+            child for child in node.children
             if not (drop_presentation and child.name not in ("annotation", "annotation-xml"))
         ]
         if len(kept) == 1 and kept[0].name not in ("annotation", "annotation-xml"):
             return [kept[0]]  # lone presentation branch: unwrap semantics
         if len(kept) == 1 and is_content_xml(kept[0]):
             return list(kept[0].children)  # lone content branch: unwrap both wrappers
-        return [MathNode(node.name, kept_attributes(node), node.text, tuple(kept))] if kept else []
+        return [_node(node.name, node.attributes, node.text, tuple(kept))] if kept else []
 
+    root = _rebuild(doc, rebuild)
     new_children: list[MathNode] = []
-    for child in kept_children(doc.root):
+    for child in root.children:
         if child.name == "semantics":
-            new_children.extend(rebuild_semantics(child))
+            new_children.extend(unwrap_semantics(child))
         else:
-            new_children.append(rebuild(child))
-
-    root = MathNode("math", kept_attributes(doc.root), doc.root.text, tuple(new_children))
+            new_children.append(child)
+    root = _node("math", root.attributes, root.text, tuple(new_children))
     result = MathDoc(root)
     if not result.presentation_nodes and not result.content_nodes:
         raise WouldBeEmpty("cleaning would leave no math content")

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -9,8 +10,10 @@ from mmlkit import (
     MathDoc,
     MathNode,
     MissingBranch,
+    Repair,
     WouldBeEmpty,
 )
+from mmlkit import core
 from mmlkit.core import (
     REPAIR_ATTRIBUTE_NAMESPACE_DROPPED,
     REPAIR_ENTITY_REPLACED,
@@ -84,10 +87,14 @@ class TestFixtureParsing:
 
 
     def test_each_element_is_built_once(self, listing1_text, monkeypatch):
+        # count constructions through the public constructor and the
+        # parser's unchecked one alike
         built = []
-        post_init = MathNode.__post_init__
+        post_init, trusted = MathNode.__post_init__, core._node
         monkeypatch.setattr(MathNode, "__post_init__",
                             lambda node: built.append(node.name) or post_init(node))
+        monkeypatch.setattr(core, "_node",
+                            lambda name, *parts: built.append(name) or trusted(name, *parts))
         for text, mode in ((listing1_text, "lenient"), (CANONICAL_LISTING1, "strict")):
             built.clear()
             doc, _ = mmlkit.parse(text, mode)
@@ -192,6 +199,86 @@ class TestLenientRepairs:
         text = f'<math xmlns="{NS}"><m:mi>x</m:mi></math>'
         with pytest.raises(MalformedInput):
             mmlkit.parse(text, "strict")
+
+    def test_prefix_declaration_is_scoped_to_its_subtree(self):
+        # f is declared on the empty mrow only, so f:mi is outside its scope
+        text = f'<math xmlns="{NS}"><mrow xmlns:f="urn:o"/><f:mi>x</f:mi></math>'
+        doc, report = mmlkit.parse(text)
+        assert report.repairs == (
+            Repair(REPAIR_ATTRIBUTE_NAMESPACE_DROPPED, text.index("<f:mi")),)
+        assert [c.name for c in doc.root.children] == ["mrow", "mi"]
+        with pytest.raises(MalformedInput, match="undeclared namespace prefix 'f'"):
+            mmlkit.parse(text, "strict")
+        # inside the declaring element's subtree the prefix stays foreign
+        text = f'<math xmlns="{NS}"><mrow xmlns:f="urn:o"><f:mi>x</f:mi></mrow></math>'
+        doc, report = mmlkit.parse(text)
+        assert report.repairs == ()
+        assert doc == mmlkit.parse(text, "strict")[0]
+
+    def test_repair_locations_are_byte_offsets_of_their_constructs(self):
+        # rule 1 on the math element, entities in text and attribute values,
+        # prefixed element names and attribute keys, and dropped MathML
+        # declarations, among 1- to 4-byte characters; nothing inside
+        # comments or CDATA is repaired
+        rng = random.Random(3)
+        parts = ["<m:math>"]
+        expected = {REPAIR_NAMESPACE_INSERTED: [0], REPAIR_ENTITY_REPLACED: [],
+                    REPAIR_ATTRIBUTE_NAMESPACE_DROPPED: [0]}
+
+        def add(piece, kind=None, at=None):
+            if kind is not None:
+                expected[kind].append(sum(map(len, parts)) + piece.index(at))
+            parts.append(piece)
+
+        for _ in range(60):
+            chars = "".join(rng.choice("xé€𝔸") for _ in range(rng.randint(0, 3)))
+            choice = rng.randrange(6)
+            if choice == 0:
+                add(f"<mi>{chars}")
+                add("&alpha;", REPAIR_ENTITY_REPLACED, "&")
+                add(f"{chars}</mi>")
+            elif choice == 1:
+                add(f'<mi class="{chars}')
+                add('&beta;">', REPAIR_ENTITY_REPLACED, "&")
+                add(f"{chars}</mi>")
+            elif choice == 2:
+                add(f"<m:mo>{chars}</m:mo>", REPAIR_ATTRIBUTE_NAMESPACE_DROPPED, "<")
+            elif choice == 3:
+                add("<mn")
+                add(f' m:k="{chars}">', REPAIR_ATTRIBUTE_NAMESPACE_DROPPED, "m:")
+                add("1</mn>")
+            elif choice == 4:
+                add("<mrow")
+                add(f' xmlns:q="{NS}"', REPAIR_ATTRIBUTE_NAMESPACE_DROPPED, "x")
+                add(">")
+                add(f"<q:mi>{chars}</q:mi></mrow>", REPAIR_ATTRIBUTE_NAMESPACE_DROPPED, "<")
+            else:
+                add(f"<!-- &gamma; {chars} --><mtext><![CDATA[&delta;{chars}]]></mtext>")
+        add("</m:math>")
+        text = "".join(parts)
+
+        doc, report = mmlkit.parse(text)
+        locations = [index for kind in expected for index in sorted(expected[kind])]
+        assert [r.kind for r in report.repairs] == [
+            kind for kind in expected for _ in expected[kind]]
+        assert [r.location for r in report.repairs] == [
+            len(text[:index].encode("utf-8")) for index in locations]
+        assert len(doc.root.children) == 60
+
+    def test_repair_scan_is_linear_in_entities_and_comments(self):
+        # 16 k entities in text and 16 k comments that hold entities: only
+        # the entities outside comments are repaired
+        unit = "<mi>&alpha;</mi><!-- &beta; -->"
+        text = f'<math xmlns="{NS}"><mrow>' + unit * 16384 + "</mrow></math>"
+        started = time.perf_counter()
+        doc, report = mmlkit.parse(text)
+        elapsed = time.perf_counter() - started
+        assert len(text) > 480_000
+        assert [r.location for r in report.repairs] == [
+            text.index("<mrow>") + 6 + 4 + i * len(unit) for i in range(16384)]
+        assert {r.kind for r in report.repairs} == {REPAIR_ENTITY_REPLACED}
+        assert len(doc.nodes) == 16386
+        assert elapsed < 5.0
 
 
 class TestParsingEdges:

@@ -64,6 +64,8 @@ def test_hand_built_tree_deeper_than_the_recursion_limit():
     chain = mmlkit.MathNode("math", (), None, (node,))
     assert mmlkit.serialize(MathDoc(chain)) == nested(1000)
     assert mmlkit.tree_edit_distance(chain, mmlkit.MathNode("math")) == 999.0
+    assert mmlkit.serialize(mmlkit.clean(MathDoc(chain), {"annotations"})) == nested(1000)
+    assert mmlkit.serialize(canonicalize(MathDoc(chain))) == nested(1000)
 
 
 def test_cli_reports_a_file_that_is_not_utf8(tmp_path, capsys):
@@ -74,18 +76,55 @@ def test_cli_reports_a_file_that_is_not_utf8(tmp_path, capsys):
     assert err.startswith(f"mml parse: error: {path}: not UTF-8 text")
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-    kinds=st.lists(st.sampled_from(sorted(generators.MUTATIONS)), max_size=4),
-)
-def test_mutated_documents_parse_or_raise_mml_errors(seed, kinds):
+@pytest.mark.parametrize("text", [
+    "<math><mi>x</mi>",
+    "<math>\ud800&alpha;</math>",
+    # the repair drops a line break along with the declaration
+    f'<m:math\n  xmlns:m="{NS}">\r\n<m:mi>&#945;é</m:mi>\n<mi>𝔸</mo></m:math>',
+])
+def test_errors_after_repairs_point_into_the_original_input(text):
+    messages = []
+    for mode in ("lenient", "strict"):
+        with pytest.raises(MalformedInput) as info:
+            mmlkit.parse(text, mode)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+def mutated_text(seed: int, kinds) -> str:
     rng = random.Random(seed)
     text = mmlkit.serialize(generators.random_doc(rng), pretty=rng.random() < 0.3)
-    text = generators.mutate(rng, text, kinds)
+    return generators.mutate(rng, text, kinds)
+
+
+mutation_lists = st.lists(st.sampled_from(sorted(generators.MUTATIONS)), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), kinds=mutation_lists)
+def test_mutated_documents_parse_or_raise_mml_errors(seed, kinds):
+    text = mutated_text(seed, kinds)
     for mode in ("lenient", "strict"):
         try:
             doc, _ = mmlkit.parse(text, mode)
         except MmlError:
             continue
         assert isinstance(doc, MathDoc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), kinds=mutation_lists)
+def test_lenient_repairs_nothing_exactly_when_strict_parses(seed, kinds):
+    # the ParseReport invariant
+    text = mutated_text(seed, kinds)
+    try:
+        doc, report = mmlkit.parse(text, "lenient")
+    except MmlError:
+        return
+    try:
+        strict_doc, _ = mmlkit.parse(text, "strict")
+    except MmlError:
+        assert report.repairs != ()
+    else:
+        assert report.repairs == ()
+        assert strict_doc == doc
