@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional, TextIO
+from typing import Iterator, Optional, TextIO
 
 from . import core, gold, query, similarity
 from .convert import convert as run_converter
@@ -189,13 +189,14 @@ def _build_parser(stream: TextIO) -> _Parser:
     return parser
 
 
-def _load_docs(paths, mode):
-    return [core.parse(_read_input(p), mode)[0] for p in paths]
+def _load_docs(paths, mode) -> Iterator[core.MathDoc]:
+    """Parse the inputs lazily: each result is written before the next is read."""
+    for path in paths:
+        yield core.parse(_read_input(path), mode)[0]
 
 
 def _cmd_parse(args, out):
-    for path in args.inputs:
-        doc, _ = core.parse(_read_input(path), _parse_mode(args))
+    for doc in _load_docs(args.inputs, _parse_mode(args)):
         out.write(core.serialize(doc, pretty=args.pretty) + "\n")
     return 0
 
@@ -205,23 +206,20 @@ def _cmd_clean(args, out):
         features = _parse_features(args.features)
     except ValueError as exc:
         raise _UsageError(str(exc))
-    for path in args.inputs:
-        doc, _ = core.parse(_read_input(path), _parse_mode(args))
+    for doc in _load_docs(args.inputs, _parse_mode(args)):
         out.write(core.serialize(core.clean(doc, features), pretty=args.pretty) + "\n")
     return 0
 
 
 def _cmd_split(args, out):
     splitter = core.split_presentation if args.branch == "presentation" else core.split_content
-    for path in args.inputs:
-        doc, _ = core.parse(_read_input(path), _parse_mode(args))
+    for doc in _load_docs(args.inputs, _parse_mode(args)):
         out.write(core.serialize(splitter(doc), pretty=args.pretty) + "\n")
     return 0
 
 
 def _cmd_extract(args, out):
-    for path in args.inputs:
-        doc, _ = core.parse(_read_input(path), _parse_mode(args))
+    for doc in _load_docs(args.inputs, _parse_mode(args)):
         for name, text, _handle in core.extract_identifiers(doc, args.branch):
             out.write(f"{name}\t{text}\n")
     return 0
@@ -232,8 +230,7 @@ def _cmd_select(args, out):
         selector = query.parse_selector(args.expr)
     else:
         selector = query.library_get(args.lib)
-    for path in args.inputs:
-        doc, _ = core.parse(_read_input(path), _parse_mode(args))
+    for doc in _load_docs(args.inputs, _parse_mode(args)):
         for handle in query.select(doc, selector):
             out.write(core.serialize_node(doc.node(handle)) + "\n")
     return 0

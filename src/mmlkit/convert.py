@@ -235,24 +235,6 @@ def stub_registry() -> ConverterRegistry:
 # canonicalization
 # ---------------------------------------------------------------------------
 
-def _reorder_semantics(children: tuple[MathNode, ...]) -> tuple[MathNode, ...]:
-    presentation = []
-    content_xml = []
-    other_xml = []
-    annotations = []
-    for child in children:
-        if child.name == "annotation":
-            annotations.append(child)
-        elif child.name == "annotation-xml":
-            if child.attr("encoding") == core.CONTENT_ENCODING:
-                content_xml.append(child)
-            else:
-                other_xml.append(child)
-        else:
-            presentation.append(child)
-    return tuple(presentation + content_xml + other_xml + annotations)
-
-
 def canonicalize(
     doc: MathDoc,
     adapter: Optional[str] = None,
@@ -277,7 +259,7 @@ def canonicalize(
 
     def rebuild(node: MathNode, children: tuple[MathNode, ...]) -> MathNode:
         if node.name == "semantics":
-            children = _reorder_semantics(children)
+            children = tuple(sorted(children, key=core._semantics_rank))
         return core._node(node.name, tuple(sorted(node.attributes)), node.text, children)
 
     return MathDoc(core._rebuild(doc, rebuild))

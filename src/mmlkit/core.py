@@ -19,14 +19,13 @@ once, when the element closes, through :func:`_node`, which skips the public
 constructor's checks; MathML namespace declarations are dropped and the
 strict-mode namespace checks run in that same pass.  Elements may nest at
 most :data:`MAX_DEPTH` levels deep (the math element is level 1); deeper input
-raises :class:`MalformedInput`, which keeps ``==``, still recursive, well
-inside Python's recursion limit; serialization, ``clean`` and
-``canonicalize`` are iterative.
+raises :class:`MalformedInput`.  The bound limits input only: ``==``,
+``hash``, serialization, ``clean`` and ``canonicalize`` are iterative.
 
-:class:`MathDoc` enumerates the tree once, in preorder, and every reader
-works on that enumeration: a node's subtree, and each branch, is one
-contiguous slice of ``doc.nodes``.  A node object may occur at several places
-in a hand-built tree; each occurrence has its own handle, and
+:class:`MathDoc` enumerates the tree once, in preorder, and keeps each node's
+parent and subtree size: a node's subtree, and each branch, is one contiguous
+slice of ``doc.nodes``.  A node object may occur at several places in a
+hand-built tree; each occurrence has its own handle, and
 :meth:`MathDoc.handle` returns the first of them in preorder.
 """
 
@@ -87,15 +86,19 @@ _ATTR_RE = re.compile(
 )
 #: One markup construct, or a named entity reference outside markup.
 #: Comments, CDATA sections, processing instructions and declarations match
-#: whole (to the end of the input when unterminated) and carry no group; a
-#: start tag runs to the first ``>`` outside quotes.
+#: whole (to the end of the input when unterminated); only a declaration
+#: has a group, its body.  A start tag runs to the first ``>`` outside quotes,
+#: a declaration to the first outside quotes and its internal subset.
 _TOKEN_RE = re.compile(
     r"&(?P<entity>[A-Za-z][A-Za-z0-9]*);"
-    r"|<(?:!--.*?(?:-->|\Z)|!\[CDATA\[.*?(?:\]\]>|\Z)|![^>]*>?|\?(?:>|.*?(?:\?>|\Z)))"
+    r"|<(?:!--.*?(?:-->|\Z)|!\[CDATA\[.*?(?:\]\]>|\Z)|\?(?:>|.*?(?:\?>|\Z))"
+    r"|!(?P<declaration>(?:[^>\[\"']+|\"[^\"]*\"?|'[^']*'?|\[(?:<!--.*?(?:-->|\Z)"
+    r"|[^\]\"'<]+|<|\"[^\"]*\"?|'[^']*'?)*\]?)*)>?)"
     rf"|</(?P<end>{_NAME_CHAR}*)[^>]*>?"
     rf"|<(?P<start>{_NAME_CHAR}*)(?:[^>\"']+|\"[^\"]*\"?|'[^']*'?)*>?",
     re.S,
 )
+_ENTITY_DECLARATION_RE = re.compile(r"<!ENTITY\s+([A-Za-z][A-Za-z0-9]*)\s")
 _LINE_BREAK_RE = re.compile(r"\r\n?|\n")  # as expat counts lines
 
 
@@ -103,13 +106,14 @@ _LINE_BREAK_RE = re.compile(r"\r\n?|\n")  # as expat counts lines
 # document model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class MathNode:
     """One XML element: local name, ordered attributes, text, children.
 
     Mixed content is normalized at construction time upstream: ``text`` holds
     the concatenation of the element's character-data segments with
     surrounding whitespace trimmed, or ``None`` when nothing remains.
+    Equality and hashing are structural and iterative.
     """
 
     name: str
@@ -133,14 +137,31 @@ class MathNode:
         for k, _ in attrs:
             if not k or any(c.isspace() for c in k):
                 raise ValueError(f"invalid attribute key {k!r}")
-        object.__setattr__(self, "_attr_map", dict(attrs))
 
     def attr(self, key: str, default: Optional[str] = None) -> Optional[str]:
         """Value of the attribute ``key``, or ``default`` when absent."""
-        return self._attr_map.get(key, default)  # type: ignore[attr-defined]
+        for k, value in self.attributes:
+            if k == key:
+                return value
+        return default
 
     def has_attr(self, key: str) -> bool:
-        return key in self._attr_map  # type: ignore[attr-defined]
+        return any(k == key for k, _ in self.attributes)
+
+    def __eq__(self, other):
+        # preorder sequences of (name, attributes, text, child count) fix a tree
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or all(
+            a.name == b.name and a.attributes == b.attributes and a.text == b.text
+            and len(a.children) == len(b.children)
+            for a, b in zip(iter_subtree(self), iter_subtree(other))
+        )
+
+    def __hash__(self):
+        return hash(tuple(
+            (n.name, n.attributes, n.text, len(n.children)) for n in iter_subtree(self)
+        ))
 
     def __repr__(self):
         bits = [self.name]
@@ -160,13 +181,22 @@ def _node(name: str, attributes: tuple[tuple[str, str], ...], text: Optional[str
     expat accepted, or a rebuild of existing nodes.  ``attributes`` and
     ``children`` must be tuples; none of the constructor's checks run."""
     node = object.__new__(MathNode)
-    # in the constructor's order, so the instance dict stays key-sharing
     _set_field(node, "name", name)
     _set_field(node, "attributes", attributes)
     _set_field(node, "text", text)
     _set_field(node, "children", children)
-    _set_field(node, "_attr_map", dict(attributes))
     return node
+
+
+#: Ranks of the children of a semantics element, in canonical order.
+_PRESENTATION, _CONTENT_XML, _OTHER_XML, _ANNOTATION = range(4)
+
+
+def _semantics_rank(node: MathNode) -> int:
+    """The rank of ``node`` as a child of semantics."""
+    if node.name != "annotation-xml":
+        return _ANNOTATION if node.name == "annotation" else _PRESENTATION
+    return _CONTENT_XML if node.attr("encoding") == CONTENT_ENCODING else _OTHER_XML
 
 
 def _rebuild(doc: MathDoc, make) -> Optional[MathNode]:
@@ -175,11 +205,12 @@ def _rebuild(doc: MathDoc, make) -> Optional[MathNode]:
     ``make(node, children)`` returns the replacement of ``node`` given the
     replacements of its children (those that are not ``None``), or ``None``
     to drop it; the result is the root's replacement."""
-    nodes = doc.nodes
-    built: list[Optional[MathNode]] = [None] * len(nodes)
-    for handle in range(len(nodes) - 1, -1, -1):
-        children = tuple(built[c] for c in doc.children_of(handle) if built[c] is not None)
-        built[handle] = make(nodes[handle], children)
+    built: list[Optional[MathNode]] = []  # replacements of later subtrees, nearest last
+    for node in reversed(doc.nodes):
+        cut = len(built) - len(node.children)
+        children = tuple(c for c in reversed(built[cut:]) if c is not None)
+        del built[cut:]
+        built.append(make(node, children))
     return built[0]
 
 
@@ -227,8 +258,6 @@ class MathDoc:
 
         nodes: list[MathNode] = []
         parents: list[Optional[int]] = []
-        children: list[list[int]] = []
-        by_identity: dict[int, int] = {}
         ids: dict[str, int] = {}
         stack: list[tuple[MathNode, Optional[int]]] = [(root, None)]
         while stack:
@@ -236,10 +265,6 @@ class MathDoc:
             handle = len(nodes)
             nodes.append(node)
             parents.append(parent)
-            children.append([])
-            by_identity.setdefault(id(node), handle)
-            if parent is not None:
-                children[parent].append(handle)
             stack.extend((child, handle) for child in reversed(node.children))
             id_value = node.attr("id")
             if id_value is not None:
@@ -248,8 +273,6 @@ class MathDoc:
                 ids[id_value] = handle
         self._nodes = tuple(nodes)
         self._parents = tuple(parents)
-        self._children = tuple(tuple(c) for c in children)
-        self._by_identity = by_identity
 
         sizes = [1] * len(nodes)
         for handle in range(len(nodes) - 1, 0, -1):
@@ -272,30 +295,20 @@ class MathDoc:
                 dangling.append((handle, target))
         self._xref_map = xref_map
         self._dangling = tuple(dangling)
-
-        self._annotations = tuple(
-            (node.attr("encoding", ""), node.text or "")
-            for node in self._nodes
-            if node.name == "annotation"
-        )
         self._presentation, self._content = self._detect_branches()
 
     def _detect_branches(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Handles of the top-level presentation and content nodes."""
-        nodes, top = self._nodes, self._children[0]
+        nodes, top = self._nodes, self.children_of(0)
         semantics = next((h for h in top if nodes[h].name == "semantics"), None)
         if semantics is None:
             if top and nodes[top[0]].name in CONTENT_ELEMENTS:
                 return (), top
             return top, ()
-        wrapped = self._children[semantics]
-        pres = tuple(
-            h for h in wrapped if nodes[h].name not in ("annotation", "annotation-xml")
-        )[:1]
-        for h in wrapped:
-            if nodes[h].name == "annotation-xml" and nodes[h].attr("encoding") == CONTENT_ENCODING:
-                return pres, self._children[h]
-        return pres, ()
+        ranked = [(_semantics_rank(nodes[h]), h) for h in self.children_of(semantics)]
+        pres = next(((h,) for rank, h in ranked if rank == _PRESENTATION), ())
+        content = next((self.children_of(h) for rank, h in ranked if rank == _CONTENT_XML), ())
+        return pres, content
 
     # -- structure accessors ------------------------------------------------
 
@@ -312,14 +325,13 @@ class MathDoc:
         return self._nodes[handle]
 
     def handle(self, node: MathNode) -> int:
-        """Handle of a node object belonging to this document.
-
-        A node object that occurs at several places (a shared subtree) gets
-        the handle of its first occurrence in preorder."""
-        try:
-            return self._by_identity[id(node)]
-        except KeyError:
-            raise ValueError("node does not belong to this document") from None
+        """Handle of a node object belonging to this document, found by
+        scanning ``nodes``: a node object that occurs at several places (a
+        shared subtree) gets the handle of its first occurrence in preorder."""
+        for handle, candidate in enumerate(self._nodes):
+            if candidate is node:
+                return handle
+        raise ValueError("node does not belong to this document")
 
     def parent(self, handle: int) -> Optional[int]:
         return self._parents[handle]
@@ -328,7 +340,11 @@ class MathDoc:
         """Child handles; ``None`` addresses the virtual document node."""
         if handle is None:
             return (0,)
-        return self._children[handle]
+        children, child, end = [], handle + 1, handle + self._sizes[handle]
+        while child < end:  # each child's subtree follows its elder sibling's
+            children.append(child)
+            child += self._sizes[child]
+        return tuple(children)
 
     def descendants_of(self, handle: Optional[int]) -> range:
         """Proper-descendant handles (preorder is contiguous per subtree)."""
@@ -363,11 +379,8 @@ class MathDoc:
         ``doc.nodes[r.start:r.stop]`` for the returned range ``r``."""
         if name is None:
             return range(len(self._nodes))
-        if name == "presentation":
-            top = self._presentation
-        elif name == "content":
-            top = self._content
-        else:
+        top = {"presentation": self._presentation, "content": self._content}.get(name)
+        if top is None:
             raise ValueError(f"unknown branch {name!r}")
         if not top:
             raise MissingBranch(f"document has no {name} branch")
@@ -376,7 +389,8 @@ class MathDoc:
     @property
     def annotations(self) -> tuple[tuple[str, str], ...]:
         """(encoding, payload) for every annotation element, document order."""
-        return self._annotations
+        return tuple((node.attr("encoding", ""), node.text or "")
+                     for node in self._nodes if node.name == "annotation")
 
     # -- cross references ------------------------------------------------------
 
@@ -412,9 +426,10 @@ class MathDoc:
 # lenient repair pipeline (runs on the raw text, before XML parsing)
 # ---------------------------------------------------------------------------
 
-def _char_refs(name: str) -> Optional[str]:
-    """Character references for a named entity XML itself lacks, else None."""
-    expansion = None if name in _PREDEFINED_ENTITIES else _HTML5_ENTITIES.get(name + ";")
+def _char_refs(name: str, declared: set[str]) -> Optional[str]:
+    """Character references for a named entity the document does not
+    declare (XML's predefined entities count as declared), else None."""
+    expansion = None if name in declared else _HTML5_ENTITIES.get(name + ";")
     return expansion and "".join(f"&#{ord(c)};" for c in expansion)
 
 
@@ -432,14 +447,17 @@ def _repair(text: str) -> tuple[str, list[Repair], list[tuple[int, int, int]]]:
     :func:`_original_index`: ``(start, end, replacement length)`` per edit.
     A prefix is judged in the scope of the element's own and its open
     ancestors' ``xmlns:`` declarations, as in strict mode; an end tag in the
-    scope of the element it closes.
+    scope of the element it closes.  Entities that a DOCTYPE's internal
+    subset declares are left for the XML parser, as in strict mode.
     """
     out: list[str] = []  # chunks of the repaired text
     marks: list[tuple[int, int, int]] = []
     found: tuple[list[Repair], ...] = ([], [], [])  # per rule
     copied = 0  # text[:copied] is accounted for in out
     located = located_bytes = 0  # the UTF-8 length of text[:located]
-    stack: list[dict[str, bool]] = []  # prefix -> bound to MathML, per open element
+    # per open element: its raw name, and prefix -> bound to MathML
+    stack: list[tuple[str, dict[str, bool]]] = []
+    declared = set(_PREDEFINED_ENTITIES)
     need_math = True
 
     def edit(start: int, end: int, replacement: str, rule: int, at: Optional[int]) -> None:
@@ -470,11 +488,14 @@ def _repair(text: str) -> tuple[str, list[Repair], list[tuple[int, int, int]]]:
 
     for token in _TOKEN_RE.finditer(text):
         kind = token.lastgroup
-        if kind is None:  # comment, CDATA section, processing instruction, declaration
+        if kind is None:  # comment, CDATA section, processing instruction
+            continue
+        if kind == "declaration":
+            declared.update(_ENTITY_DECLARATION_RE.findall(token.group(kind)))
             continue
         start, end = token.span()
         if kind == "entity":  # rule 2 in character data
-            refs = _char_refs(token.group(kind))
+            refs = _char_refs(token.group(kind), declared)
             if refs is not None:
                 edit(start, end, refs, 1, start)
             continue
@@ -486,7 +507,7 @@ def _repair(text: str) -> tuple[str, list[Repair], list[tuple[int, int, int]]]:
         edits: list[tuple[int, int, str, int, Optional[int]]] = []  # edit() arguments
         attrs = []
         if opens:
-            scope = stack[-1] if stack else {}
+            scope = stack[-1][1] if stack else {}
             own: dict[str, bool] = {}  # the element's xmlns: declarations
             is_math = need_math and (name == "math" or name.endswith(":math"))
             # only the math element's declarations and prefixed keys matter
@@ -499,7 +520,7 @@ def _repair(text: str) -> tuple[str, list[Repair], list[tuple[int, int, int]]]:
                 if own:
                     scope = {**scope, **own}
             if not text.endswith("/>", start, end):
-                stack.append(scope)
+                stack.append((name, scope))
             # rule 1: inject the MathML namespace when the math element
             # declares no default namespace and binds no prefix to MathML
             if is_math:
@@ -507,12 +528,14 @@ def _repair(text: str) -> tuple[str, list[Repair], list[tuple[int, int, int]]]:
                 if all(attr["key"] != "xmlns" for attr in attrs) and True not in own.values():
                     edits.append((name_end, name_end, f' xmlns="{MATHML_NS}"', 0, start))
         else:
-            scope = stack.pop() if stack else {}
+            opened, scope = stack.pop() if stack else (None, {})
 
-        # rule 3: drop namespace prefixes bound (or assumed bound) to MathML
+        # rule 3: drop namespace prefixes bound (or assumed bound) to MathML;
+        # an end tag's repair counts only when it differs from its start tag
         prefix, colon, local = name.partition(":")
         if colon and _mathml_bound(prefix, scope):
-            edits.append((name_pos, name_end, local, 2, start if opens else None))
+            at = start if opens or name != opened else None
+            edits.append((name_pos, name_end, local, 2, at))
         for attr in attrs:
             key, key_pos = attr["key"], attr.start()
             if key.startswith("xmlns:"):
@@ -528,7 +551,7 @@ def _repair(text: str) -> tuple[str, list[Repair], list[tuple[int, int, int]]]:
 
         if text.find("&", start, end) >= 0:  # rule 2 inside the tag
             for entity in _ENTITY_RE.finditer(text, start, end):
-                refs = _char_refs(entity.group(1))
+                refs = _char_refs(entity.group(1), declared)
                 if refs is not None:
                     edits.append((entity.start(), entity.end(), refs, 1, entity.start()))
         if len(edits) > 1:  # in order of start; at one start, in reverse rule order
@@ -811,12 +834,9 @@ def clean(doc: MathDoc, features: Iterable[str]) -> MathDoc:
     drop_annotations = "annotations" in feature_set
     drop_xrefs = "cross_references" in feature_set
 
-    def is_content_xml(node: MathNode) -> bool:
-        return node.name == "annotation-xml" and node.attr("encoding") == CONTENT_ENCODING
-
     def rebuild(node: MathNode, children: tuple[MathNode, ...]) -> Optional[MathNode]:
-        if (drop_annotations and node.name == "annotation") or (
-                drop_content and is_content_xml(node)):
+        rank = _semantics_rank(node)
+        if (drop_annotations and rank == _ANNOTATION) or (drop_content and rank == _CONTENT_XML):
             return None
         attributes = node.attributes
         if drop_xrefs:
@@ -826,11 +846,11 @@ def clean(doc: MathDoc, features: Iterable[str]) -> MathDoc:
     def unwrap_semantics(node: MathNode) -> list[MathNode]:
         kept = [
             child for child in node.children
-            if not (drop_presentation and child.name not in ("annotation", "annotation-xml"))
+            if not (drop_presentation and _semantics_rank(child) == _PRESENTATION)
         ]
-        if len(kept) == 1 and kept[0].name not in ("annotation", "annotation-xml"):
+        if len(kept) == 1 and _semantics_rank(kept[0]) == _PRESENTATION:
             return [kept[0]]  # lone presentation branch: unwrap semantics
-        if len(kept) == 1 and is_content_xml(kept[0]):
+        if len(kept) == 1 and _semantics_rank(kept[0]) == _CONTENT_XML:
             return list(kept[0].children)  # lone content branch: unwrap both wrappers
         return [_node(node.name, node.attributes, node.text, tuple(kept))] if kept else []
 

@@ -214,6 +214,22 @@ def _nest(rng: random.Random, text: str) -> str:
     return text[:start] + "<mrow>" * depth + text[start:end] + "</mrow>" * depth + text[end:]
 
 
+def _mismatched_prefix_end(rng: random.Random, text: str) -> str:
+    """Prefix one end tag only, so that it no longer matches its start tag."""
+    tags = list(_TAG_CLOSE_RE.finditer(text))
+    if not tags:
+        return text
+    at = rng.choice(tags).start(1)
+    return text[:at] + rng.choice(["mml", "m"]) + ":" + text[at:]
+
+
+def _doctype_entity(rng: random.Random, text: str) -> str:
+    """Declare alpha in a DOCTYPE internal subset and use named entities."""
+    value = rng.choice(["a", "x>y", ""])
+    text, _ = encode_entities(text)
+    return f'<!DOCTYPE math [<!ENTITY alpha "{value}">]>' + text
+
+
 #: Text mutations for robustness tests, each ``(rng, text) -> text``.
 MUTATIONS = {
     "drop-namespace": lambda rng, text: strip_namespace(text),
@@ -227,6 +243,8 @@ MUTATIONS = {
     "foreign-root": lambda rng, text: text.replace(MATHML_NS, "urn:foreign", 1),
     "junk": lambda rng, text: _insert(
         rng, text, rng.choice(["<", ">", "&", "'", '"', "</mi>", "<mi>"])),
+    "mismatched-prefix-end": _mismatched_prefix_end,
+    "doctype-entity": _doctype_entity,
 }
 
 

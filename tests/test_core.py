@@ -215,6 +215,35 @@ class TestLenientRepairs:
         assert report.repairs == ()
         assert doc == mmlkit.parse(text, "strict")[0]
 
+    def test_prefixed_end_tag_of_an_unprefixed_element_is_a_repair(self):
+        text = f'<math xmlns="{NS}"><mi>x</mml:mi></math>'
+        doc, report = mmlkit.parse(text)
+        assert report.repairs == (
+            Repair(REPAIR_ATTRIBUTE_NAMESPACE_DROPPED, text.index("</mml:mi>")),)
+        assert doc.root.children[0].name == "mi"
+        with pytest.raises(MalformedInput, match="mismatched tag"):
+            mmlkit.parse(text, "strict")
+        # a matching prefixed pair is one repair, made at its start tag
+        text = f'<math xmlns="{NS}"><mml:mi>x</mml:mi><mi>y</m:mi></math>'
+        _, report = mmlkit.parse(text)
+        assert report.repairs == (
+            Repair(REPAIR_ATTRIBUTE_NAMESPACE_DROPPED, text.index("<mml:mi>")),
+            Repair(REPAIR_ATTRIBUTE_NAMESPACE_DROPPED, text.index("</m:mi>")),
+        )
+
+    def test_entities_declared_in_the_doctype_are_left_to_the_xml_parser(self):
+        # the internal subset holds a '>' and, in a comment, an apostrophe
+        text = (f"<!DOCTYPE math [<!-- don't --><!ENTITY alpha \"a>b\">]>"
+                f'<math xmlns="{NS}"><mi>&alpha;</mi></math>')
+        doc, report = mmlkit.parse(text)
+        assert report.repairs == ()
+        assert doc.root.children[0].text == "a>b"
+        assert doc == mmlkit.parse(text, "strict")[0]
+        # an entity the subset does not declare is still replaced
+        doc, report = mmlkit.parse(text.replace("<mi>&alpha;", "<mi>&alpha;&beta;"))
+        assert [r.kind for r in report.repairs] == [REPAIR_ENTITY_REPLACED]
+        assert doc.root.children[0].text == "a>bβ"
+
     def test_repair_locations_are_byte_offsets_of_their_constructs(self):
         # rule 1 on the math element, entities in text and attribute values,
         # prefixed element names and attribute keys, and dropped MathML

@@ -56,16 +56,27 @@ class TestDepthLimit:
             assert with_frames(200, check), name
 
 
+def hand_built_chain(levels: int, leaf: str = "x") -> mmlkit.MathNode:
+    """The tree of ``nested(levels)``, built through the constructor."""
+    node = mmlkit.MathNode("mi", (), leaf)
+    for _ in range(levels - 2):
+        node = mmlkit.MathNode("mrow", (), None, (node,))
+    return mmlkit.MathNode("math", (), None, (node,))
+
+
 def test_hand_built_tree_deeper_than_the_recursion_limit():
     # MAX_DEPTH bounds parsed input only; a hand-built tree may nest deeper
-    node = mmlkit.MathNode("mi", (), "x")
-    for _ in range(998):
-        node = mmlkit.MathNode("mrow", (), None, (node,))
-    chain = mmlkit.MathNode("math", (), None, (node,))
+    chain = hand_built_chain(1000)
     assert mmlkit.serialize(MathDoc(chain)) == nested(1000)
     assert mmlkit.tree_edit_distance(chain, mmlkit.MathNode("math")) == 999.0
     assert mmlkit.serialize(mmlkit.clean(MathDoc(chain), {"annotations"})) == nested(1000)
     assert mmlkit.serialize(canonicalize(MathDoc(chain))) == nested(1000)
+    # equality and hashing walk two distinct chains without recursion
+    twin, other = hand_built_chain(1000), hand_built_chain(1000, leaf="y")
+    assert chain == twin and not chain != twin
+    assert hash(chain) == hash(twin)
+    assert chain != other and not chain == other  # only the deepest leaf differs
+    assert hash(chain) != hash(other)
 
 
 def test_cli_reports_a_file_that_is_not_utf8(tmp_path, capsys):
