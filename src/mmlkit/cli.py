@@ -12,6 +12,7 @@ tool failure, ...), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import Iterator, Optional, TextIO
@@ -24,14 +25,22 @@ from .errors import MalformedInput, MmlError
 _FEATURE_ALIASES = {name.replace("_", "-"): name for name in core.CLEANABLE_FEATURES}
 
 
+class _Exit(Exception):
+    """Raised with the exit status and the text argparse would print."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser whose messages go to an injectable stream."""
+    """ArgumentParser that raises :class:`_Exit` where argparse would print
+    and exit, so that one parser serves every :func:`run` call."""
 
-    stream: Optional[TextIO] = None
+    def exit(self, status=0, message=None):
+        raise _Exit(status, message or "")
 
-    def _print_message(self, message, file=None):
-        if message:
-            (self.stream or sys.stderr).write(message)
+    def error(self, message):
+        self.exit(2, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+    def print_help(self, file=None):
+        self.exit(0, self.format_help())
 
 
 def format_number(value: float) -> str:
@@ -53,14 +62,11 @@ def _read_input(path: str) -> str:
         raise MalformedInput(f"{path}: not UTF-8 text: {exc}") from None
 
 
-def _check_paths_exist(paths, parser):
-    for path in paths:
-        if path != "-" and not os.path.exists(path):
-            parser.error(f"input file not found: {path}")
-
-
-def _parse_mode(args) -> str:
-    return "strict" if args.strict else "lenient"
+def _path(text: str) -> str:
+    """A file argument: an existing path, or ``-`` for standard input."""
+    if text != "-" and not os.path.exists(text):
+        raise argparse.ArgumentTypeError(f"input file not found: {text}")
+    return text
 
 
 def _parse_features(text: str) -> set[str]:
@@ -71,30 +77,36 @@ def _parse_features(text: str) -> set[str]:
             continue
         normalized = token.replace("_", "-")
         if normalized not in _FEATURE_ALIASES:
-            raise ValueError(f"unknown feature {token!r}")
+            raise argparse.ArgumentTypeError(f"unknown feature {token!r}")
         features.add(_FEATURE_ALIASES[normalized])
     if not features:
-        raise ValueError("no features given")
+        raise argparse.ArgumentTypeError("no features given")
     return features
 
 
 def _parse_costs(text: str) -> similarity.CostConfig:
     parts = text.split(",")
     if len(parts) != 3:
-        raise ValueError("costs must be three comma-separated numbers: ins,del,ren")
-    ins, dele, ren = (float(p) for p in parts)
-    return similarity.CostConfig(insert=ins, delete=dele, rename=ren)
+        raise argparse.ArgumentTypeError(
+            "costs must be three comma-separated numbers: ins,del,ren")
+    try:
+        ins, dele, ren = (float(p) for p in parts)
+        return similarity.CostConfig(insert=ins, delete=dele, rename=ren)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _build_parser(stream: TextIO) -> _Parser:
+@functools.cache
+def _build_parser() -> _Parser:
     parser = _Parser(prog="mml", description="parallel-markup MathML toolkit")
-    parser.stream = stream
 
     def add_mode_flags(sub):
         group = sub.add_mutually_exclusive_group()
-        group.add_argument("--lenient", action="store_true", default=False,
+        group.add_argument("--lenient", dest="mode", action="store_const",
+                           const="lenient", default="lenient",
                            help="repair recoverable defects (default)")
-        group.add_argument("--strict", action="store_true", default=False,
+        group.add_argument("--strict", dest="mode", action="store_const",
+                           const="strict", default="lenient",
                            help="reject inputs needing repair")
 
     subs = parser.add_subparsers(dest="command", metavar="subcommand",
@@ -104,44 +116,44 @@ def _build_parser(stream: TextIO) -> _Parser:
     sub = subs.add_parser("parse", help="parse inputs and print canonical XML")
     add_mode_flags(sub)
     sub.add_argument("--pretty", action="store_true", help="indented output")
-    sub.add_argument("inputs", nargs="+", metavar="input")
+    sub.add_argument("inputs", nargs="+", type=_path, metavar="input")
 
     sub = subs.add_parser("clean",
                           help="remove markup features and print the result")
     add_mode_flags(sub)
-    sub.add_argument("--features", required=True,
+    sub.add_argument("--features", required=True, type=_parse_features,
                      help="comma-separated: cross-references, content-branch, "
                           "presentation-branch, annotations")
     sub.add_argument("--pretty", action="store_true")
-    sub.add_argument("inputs", nargs="+", metavar="input")
+    sub.add_argument("inputs", nargs="+", type=_path, metavar="input")
 
     sub = subs.add_parser("split",
                           help="extract one branch as a standalone document")
     add_mode_flags(sub)
     sub.add_argument("--branch", required=True, choices=("presentation", "content"))
     sub.add_argument("--pretty", action="store_true")
-    sub.add_argument("inputs", nargs="+", metavar="input")
+    sub.add_argument("inputs", nargs="+", type=_path, metavar="input")
 
     sub = subs.add_parser("extract",
                           help="list identifier elements as name<TAB>text")
     add_mode_flags(sub)
     sub.add_argument("--branch", default="both",
                      choices=("presentation", "content", "both"))
-    sub.add_argument("inputs", nargs="+", metavar="input")
+    sub.add_argument("inputs", nargs="+", type=_path, metavar="input")
 
     sub = subs.add_parser("select", help="print nodes matching a path query")
     add_mode_flags(sub)
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--expr", help="inline query, e.g. \"//mi | //ci\"")
     group.add_argument("--lib", help="named query from the built-in catalog")
-    sub.add_argument("inputs", nargs="+", metavar="input")
+    sub.add_argument("inputs", nargs="+", type=_path, metavar="input")
 
     sub = subs.add_parser("histogram", help="print an element-name histogram")
     add_mode_flags(sub)
     sub.add_argument("--scope", default="whole",
                      choices=("whole", "presentation", "content"))
     sub.add_argument("--include-structural", action="store_true")
-    sub.add_argument("inputs", nargs="+", metavar="input")
+    sub.add_argument("inputs", nargs="+", type=_path, metavar="input")
 
     sub = subs.add_parser("dist",
                           help="distance or similarity between two documents")
@@ -151,11 +163,11 @@ def _build_parser(stream: TextIO) -> _Parser:
     sub.add_argument("--scope", default="whole",
                      choices=("whole", "presentation", "content"))
     sub.add_argument("--include-structural", action="store_true")
-    sub.add_argument("--costs", default=None, metavar="INS,DEL,REN",
+    sub.add_argument("--costs", type=_parse_costs, metavar="INS,DEL,REN",
                      help="tree edit costs (ted only), default 1,1,1")
     sub.add_argument("--label-mode", default="name", choices=("name", "name-text"),
                      help="tree edit labels (ted only)")
-    sub.add_argument("inputs", nargs=2, metavar="input")
+    sub.add_argument("inputs", nargs=2, type=_path, metavar="input")
 
     sub = subs.add_parser("doc-dist",
                           help="distance between two document collections")
@@ -164,28 +176,27 @@ def _build_parser(stream: TextIO) -> _Parser:
     sub.add_argument("--scope", default="whole",
                      choices=("whole", "presentation", "content"))
     sub.add_argument("--include-structural", action="store_true")
-    sub.add_argument("-a", "--left", action="append", required=True, metavar="FILE",
+    sub.add_argument("-a", "--left", action="append", required=True, type=_path,
+                     metavar="FILE",
                      help="document on the left side (repeatable)")
-    sub.add_argument("-b", "--right", action="append", required=True, metavar="FILE",
+    sub.add_argument("-b", "--right", action="append", required=True, type=_path,
+                     metavar="FILE",
                      help="document on the right side (repeatable)")
 
     sub = subs.add_parser("convert",
                           help="run a registered TeX-to-MathML converter")
     sub.add_argument("--name", required=True, help="converter name")
-    sub.add_argument("--converters", metavar="FILE",
+    sub.add_argument("--converters", type=_path, metavar="FILE",
                      help="JSON file describing additional converters")
     sub.add_argument("--tex", help="TeX source (default: read from input file)")
     sub.add_argument("--pretty", action="store_true")
-    sub.add_argument("inputs", nargs="?", default=None, metavar="input",
+    sub.add_argument("inputs", nargs="?", type=_path, metavar="input",
                      help="file holding TeX source, or - for stdin")
 
     sub = subs.add_parser("gold-validate",
                           help="check a gold collection and report findings")
-    sub.add_argument("--gold", required=True, metavar="FILE",
+    sub.add_argument("--gold", required=True, type=_path, metavar="FILE",
                      help="gold collection JSON file")
-
-    for sub in subs.choices.values():
-        sub.stream = stream
     return parser
 
 
@@ -196,30 +207,26 @@ def _load_docs(paths, mode) -> Iterator[core.MathDoc]:
 
 
 def _cmd_parse(args, out):
-    for doc in _load_docs(args.inputs, _parse_mode(args)):
+    for doc in _load_docs(args.inputs, args.mode):
         out.write(core.serialize(doc, pretty=args.pretty) + "\n")
     return 0
 
 
 def _cmd_clean(args, out):
-    try:
-        features = _parse_features(args.features)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
-    for doc in _load_docs(args.inputs, _parse_mode(args)):
-        out.write(core.serialize(core.clean(doc, features), pretty=args.pretty) + "\n")
+    for doc in _load_docs(args.inputs, args.mode):
+        out.write(core.serialize(core.clean(doc, args.features), pretty=args.pretty) + "\n")
     return 0
 
 
 def _cmd_split(args, out):
     splitter = core.split_presentation if args.branch == "presentation" else core.split_content
-    for doc in _load_docs(args.inputs, _parse_mode(args)):
+    for doc in _load_docs(args.inputs, args.mode):
         out.write(core.serialize(splitter(doc), pretty=args.pretty) + "\n")
     return 0
 
 
 def _cmd_extract(args, out):
-    for doc in _load_docs(args.inputs, _parse_mode(args)):
+    for doc in _load_docs(args.inputs, args.mode):
         for name, text, _handle in core.extract_identifiers(doc, args.branch):
             out.write(f"{name}\t{text}\n")
     return 0
@@ -230,7 +237,7 @@ def _cmd_select(args, out):
         selector = query.parse_selector(args.expr)
     else:
         selector = query.library_get(args.lib)
-    for doc in _load_docs(args.inputs, _parse_mode(args)):
+    for doc in _load_docs(args.inputs, args.mode):
         for handle in query.select(doc, selector):
             out.write(core.serialize_node(doc.node(handle)) + "\n")
     return 0
@@ -239,29 +246,22 @@ def _cmd_select(args, out):
 def _cmd_histogram(args, out):
     histograms = [
         similarity.histogram(doc, args.scope, args.include_structural)
-        for doc in _load_docs(args.inputs, _parse_mode(args))
+        for doc in _load_docs(args.inputs, args.mode)
     ]
     out.write(similarity.accumulate(histograms).to_text())
     return 0
 
 
 def _cmd_dist(args, out):
-    mode = _parse_mode(args)
-    doc_a, doc_b = _load_docs(args.inputs, mode)
+    doc_a, doc_b = _load_docs(args.inputs, args.mode)
     if args.measure == "ted":
-        costs = similarity.CostConfig()
-        if args.costs is not None:
-            try:
-                costs = _parse_costs(args.costs)
-            except ValueError as exc:
-                raise _UsageError(str(exc))
         if args.scope == "whole":
             trees = (doc_a, doc_b)
         elif args.scope == "presentation":
             trees = (core.split_presentation(doc_a), core.split_presentation(doc_b))
         else:
             trees = (core.split_content(doc_a), core.split_content(doc_b))
-        value = similarity.tree_edit_distance(*trees, costs=costs,
+        value = similarity.tree_edit_distance(*trees, costs=args.costs,
                                               label_mode=args.label_mode)
     else:
         if args.costs is not None:
@@ -281,10 +281,9 @@ def _cmd_dist(args, out):
 
 
 def _cmd_doc_dist(args, out):
-    mode = _parse_mode(args)
     value = similarity.document_distance(
-        _load_docs(args.left, mode),
-        _load_docs(args.right, mode),
+        _load_docs(args.left, args.mode),
+        _load_docs(args.right, args.mode),
         measure=args.measure,
         scope=args.scope,
         include_structural=args.include_structural,
@@ -337,41 +336,22 @@ class _UsageError(Exception):
     pass
 
 
-def _input_paths(args) -> list[str]:
-    paths = list(getattr(args, "inputs", None) or [])
-    if isinstance(getattr(args, "inputs", None), str):
-        paths = [args.inputs]
-    paths += getattr(args, "left", None) or []
-    paths += getattr(args, "right", None) or []
-    if getattr(args, "converters", None):
-        paths.append(args.converters)
-    if getattr(args, "gold", None):
-        paths.append(args.gold)
-    return paths
-
-
 def run(argv, stdout: Optional[TextIO] = None, stderr: Optional[TextIO] = None) -> int:
     """Run the CLI on an argument vector; returns the exit code."""
     out = stdout or sys.stdout
     err = stderr or sys.stderr
-    parser = _build_parser(err)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        _check_paths_exist(_input_paths(args), parser)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        args = _build_parser().parse_args(argv)
+    except _Exit as exc:
+        status, text = exc.args
+        err.write(text)
+        return status
     try:
         return _COMMANDS[args.command](args, out)
     except _UsageError as exc:
         err.write(f"mml {args.command}: error: {exc}\n")
         return 2
-    except MmlError as exc:
-        err.write(f"mml {args.command}: error: {exc}\n")
-        return 1
-    except OSError as exc:
+    except (MmlError, OSError) as exc:
         err.write(f"mml {args.command}: error: {exc}\n")
         return 1
 

@@ -35,6 +35,7 @@ import re
 import xml.parsers.expat
 from collections.abc import Mapping
 from dataclasses import dataclass
+from html import unescape
 from html.entities import html5 as _HTML5_ENTITIES
 from typing import Iterable, Iterator, Optional
 
@@ -439,6 +440,12 @@ def _mathml_bound(prefix: str, scope: dict[str, bool]) -> bool:
     return prefix != "xml" and prefix != "xmlns" and scope.get(prefix, True)
 
 
+def _is_mathml(value: str) -> bool:
+    """Whether a raw attribute value names MathML once the XML parser has
+    resolved its character and entity references."""
+    return unescape(value) == MATHML_NS
+
+
 def _repair(text: str) -> tuple[str, list[Repair], list[tuple[int, int, int]]]:
     """Apply the three leniency rules in one forward scan over ``text``.
 
@@ -516,7 +523,7 @@ def _repair(text: str) -> tuple[str, list[Repair], list[tuple[int, int, int]]]:
                 for attr in attrs:
                     if attr["key"].startswith("xmlns:"):
                         prefix = attr["key"][6:]
-                        own[prefix] = own.get(prefix, False) or attr["value"] == MATHML_NS
+                        own[prefix] = own.get(prefix, False) or _is_mathml(attr["value"])
                 if own:
                     scope = {**scope, **own}
             if not text.endswith("/>", start, end):
@@ -539,10 +546,14 @@ def _repair(text: str) -> tuple[str, list[Repair], list[tuple[int, int, int]]]:
         for attr in attrs:
             key, key_pos = attr["key"], attr.start()
             if key.startswith("xmlns:"):
-                if attr["value"] == MATHML_NS:
+                if _is_mathml(attr["value"]):
+                    # take the whitespace before the declaration along only
+                    # where whitespace, "/", ">" or the end of input (an
+                    # empty slice) follows
                     cut = key_pos
-                    while cut > 0 and text[cut - 1] in " \t\r\n":
-                        cut -= 1
+                    if text[attr.end():attr.end() + 1] in " \t\r\n/>":
+                        while cut > 0 and text[cut - 1] in " \t\r\n":
+                            cut -= 1
                     edits.append((cut, attr.end(), "", 2, key_pos))
                 continue
             prefix, colon, local = key.partition(":")
@@ -657,6 +668,8 @@ def parse(text: str, mode: str = "lenient") -> tuple[MathDoc, ParseReport]:
     declares none, (2) replace HTML5/MathML named entities with their code
     points, (3) drop namespace prefixes on MathML-namespace elements and
     attributes.  Strict mode rejects any input those rules would rewrite.
+    Both modes reject an undeclared entity that the XML parser would skip
+    because the DOCTYPE names an external subset, which it does not read.
     """
     if mode not in ("strict", "lenient"):
         raise ValueError(f"unknown parse mode {mode!r}")
@@ -675,22 +688,34 @@ def parse(text: str, mode: str = "lenient") -> tuple[MathDoc, ParseReport]:
     parser.StartElementHandler = builder.start
     parser.EndElementHandler = builder.end
     parser.CharacterDataHandler = builder.chars
+
+    def position(byte_index: int, line: int, column: int) -> str:
+        if marks:  # expat's position in the repaired text, taken back to the input
+            at = len(work.encode("utf-8")[:byte_index].decode("utf-8"))
+            lines = _LINE_BREAK_RE.split(text[:_original_index(marks, at)])
+            line, column = len(lines), len(lines[-1])
+        return f"line {line}, column {column}"
+
+    def skipped(name: str, _is_parameter_entity: bool) -> None:
+        # expat skips, rather than rejects, an undeclared entity when the
+        # DOCTYPE names an external subset, which it does not read
+        raise MalformedInput(f"undefined entity &{name};: " + position(
+            parser.CurrentByteIndex, parser.CurrentLineNumber, parser.CurrentColumnNumber))
+
+    parser.SkippedEntityHandler = skipped
     try:
         parser.Parse(work, True)
     except xml.parsers.expat.ExpatError as exc:
-        line, column = exc.lineno, exc.offset
-        if marks:  # expat's position in the repaired text, taken back to the input
-            at = len(work.encode("utf-8")[:parser.ErrorByteIndex].decode("utf-8"))
-            lines = _LINE_BREAK_RE.split(text[:_original_index(marks, at)])
-            line, column = len(lines), len(lines[-1])
         raise MalformedInput(
             f"not well-formed XML: {xml.parsers.expat.ErrorString(exc.code)}: "
-            f"line {line}, column {column}"
+            + position(parser.ErrorByteIndex, exc.lineno, exc.offset)
         ) from None
     except UnicodeEncodeError as exc:  # a lone surrogate
         at = _original_index(marks, exc.start)
         exc = UnicodeEncodeError(exc.encoding, text, at, at + exc.end - exc.start, exc.reason)
         raise MalformedInput(f"unparseable input: {exc}") from None
+    finally:
+        parser.SkippedEntityHandler = None  # it refers back to the parser
     root = builder.root
     if root is None:
         raise MalformedInput("input contains no element")

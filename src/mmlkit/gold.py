@@ -36,17 +36,6 @@ class GoldEntry:
         object.__setattr__(self, "check", dict(self.check))
         object.__setattr__(self, "extra", dict(self.extra))
 
-    def __eq__(self, other):
-        if not isinstance(other, GoldEntry):
-            return NotImplemented
-        return (
-            self.id, self.tex, self.mathml, self.title, self.uri,
-            self.check, self.extra,
-        ) == (
-            other.id, other.tex, other.mathml, other.title, other.uri,
-            other.check, other.extra,
-        )
-
 
 @dataclass(frozen=True)
 class Finding:

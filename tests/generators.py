@@ -230,6 +230,22 @@ def _doctype_entity(rng: random.Random, text: str) -> str:
     return f'<!DOCTYPE math [<!ENTITY alpha "{value}">]>' + text
 
 
+def _charref_namespace(rng: random.Random, text: str) -> str:
+    """Write one character of each namespace URI as a character reference."""
+    def encode(match):
+        uri = match["uri"]
+        at = rng.randrange(len(uri))
+        return f'{match["key"]}="{uri[:at]}&#{ord(uri[at])};{uri[at + 1:]}"'
+    return re.sub(r'(?P<key>xmlns(?::[^=\s]+)?)="(?P<uri>[^"&]+)"', encode, text)
+
+
+def _external_doctype(rng: random.Random, text: str) -> str:
+    """Name an external DTD subset, which the XML parser does not read, and
+    use named entities."""
+    text, _ = encode_entities(text)
+    return '<!DOCTYPE math SYSTEM "mathml.dtd">' + text
+
+
 #: Text mutations for robustness tests, each ``(rng, text) -> text``.
 MUTATIONS = {
     "drop-namespace": lambda rng, text: strip_namespace(text),
@@ -245,6 +261,8 @@ MUTATIONS = {
         rng, text, rng.choice(["<", ">", "&", "'", '"', "</mi>", "<mi>"])),
     "mismatched-prefix-end": _mismatched_prefix_end,
     "doctype-entity": _doctype_entity,
+    "charref-namespace": _charref_namespace,
+    "external-doctype": _external_doctype,
 }
 
 

@@ -198,3 +198,42 @@ class TestHelp:
         code, out, err = invoke(["dist", "--help"])
         assert code == 0
         assert "--measure" in err + out
+
+
+class TestParserReuse:
+    CALLS = [
+        ["histogram", "L1", "XY"],
+        ["parse", "--strict", "L1"],
+        ["clean", "--features", "bogus", "L1"],
+        ["parse", "missing-file.mml"],
+        ["--help"],
+        ["dist", "--help"],
+        ["frobnicate"],
+        ["extract", "L1"],
+    ]
+
+    def test_one_parser_serves_every_call(self, invoke, paths):
+        cli._build_parser.cache_clear()
+        first = [invoke(fill(argv, paths)) for argv in self.CALLS]
+        for _ in range(2):
+            assert [invoke(fill(argv, paths)) for argv in self.CALLS] == first
+        assert cli._build_parser.cache_info().misses == 1
+        assert [code for code, _, _ in first] == [0, 1, 2, 2, 0, 0, 2, 0]
+        help_code, help_out, help_err = first[4]
+        assert help_out == "" and help_err.startswith("usage: mml [-h]")
+
+    def test_usage_errors_name_the_argument(self, invoke, paths):
+        code, out, err = invoke(["parse", "missing-file.mml"])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: mml parse ")
+        assert err.endswith(
+            "mml parse: error: argument input: input file not found: missing-file.mml\n")
+        code, _, err = invoke(fill(["doc-dist", "--measure", "emd",
+                                    "-a", "L1", "-b", "nope.mml"], paths))
+        assert code == 2
+        assert "argument -b/--right: input file not found: nope.mml" in err
+        code, _, err = invoke(fill(["dist", "--measure", "ted", "--costs=-1,1,1",
+                                    "L1", "XY"], paths))
+        assert code == 2
+        assert err.endswith("mml dist: error: argument --costs: "
+                            "insert cost must be finite and non-negative\n")

@@ -1,3 +1,4 @@
+import gc
 import random
 import time
 
@@ -244,6 +245,45 @@ class TestLenientRepairs:
         assert [r.kind for r in report.repairs] == [REPAIR_ENTITY_REPLACED]
         assert doc.root.children[0].text == "a>bβ"
 
+    def test_dropped_declaration_keeps_its_tag_apart_from_what_follows(self):
+        # the value runs straight into ":plus"; taking the space before the
+        # declaration as well would glue "mrow" to it
+        text = f'<math xmlns="{NS}"><mrow xmlns:f="{NS}":plus id="c"/></math>'
+        for mode in ("lenient", "strict"):
+            with pytest.raises(MalformedInput, match="not well-formed"):
+                mmlkit.parse(text, mode)
+        # followed by whitespace, "/" or ">", the space goes with it
+        for tail in (" ></mrow>", "/>", "></mrow>"):
+            text = f'<math xmlns="{NS}"><mrow xmlns:f="{NS}"{tail}</math>'
+            doc, report = mmlkit.parse(text)
+            assert [r.kind for r in report.repairs] == [REPAIR_ATTRIBUTE_NAMESPACE_DROPPED]
+            assert mmlkit.serialize(doc) == f'<math xmlns="{NS}"><mrow/></math>'
+
+    def test_namespace_values_are_compared_after_character_references(self):
+        text = (f'<math xmlns="{NS}" xmlns:m="&#104;ttp://www.w3.org/1998/Math/MathML">'
+                "<m:mi>x</m:mi></math>")
+        with pytest.raises(MalformedInput, match="prefix 'm' bound to the MathML"):
+            mmlkit.parse(text, "strict")
+        doc, report = mmlkit.parse(text)
+        assert report.repairs == (
+            Repair(REPAIR_ATTRIBUTE_NAMESPACE_DROPPED, text.index("xmlns:m")),
+            Repair(REPAIR_ATTRIBUTE_NAMESPACE_DROPPED, text.index("<m:mi>")),
+        )
+        assert mmlkit.serialize(doc) == f'<math xmlns="{NS}"><mi>x</mi></math>'
+
+    def test_entities_skipped_under_an_external_subset_raise(self):
+        # expat does not read mathml.dtd and would skip the entity silently
+        text = (f'<!DOCTYPE math SYSTEM "mathml.dtd">\n<math xmlns="{NS}">'
+                "<mi>&alpha;</mi>\n<mi>&bogus;</mi></math>")
+        with pytest.raises(MalformedInput, match=r"undefined entity &alpha;: line 2, column 53"):
+            mmlkit.parse(text, "strict")
+        # lenient mode replaces the known entity, then fails at the unknown one
+        with pytest.raises(MalformedInput, match=r"undefined entity &bogus;: line 3, column 4"):
+            mmlkit.parse(text)
+        doc, report = mmlkit.parse(text.replace("&bogus;", "y"))
+        assert [r.kind for r in report.repairs] == [REPAIR_ENTITY_REPLACED]
+        assert [node.text for node in doc.nodes[1:]] == ["α", "y"]
+
     def test_repair_locations_are_byte_offsets_of_their_constructs(self):
         # rule 1 on the math element, entities in text and attribute values,
         # prefixed element names and attribute keys, and dropped MathML
@@ -311,6 +351,24 @@ class TestLenientRepairs:
 
 
 class TestParsingEdges:
+    def test_parse_leaves_no_reference_cycles(self, listing1_text):
+        # a cycle through the XML parser would keep each input and its
+        # repaired text alive until the cyclic collector runs
+        texts = [listing1_text, "<math><mi>x</math>",
+                 f'<!DOCTYPE math SYSTEM "m.dtd"><math xmlns="{NS}">&bogus;</math>']
+        gc.collect()
+        gc.disable()
+        try:
+            for text in texts:
+                for mode in ("lenient", "strict"):
+                    try:
+                        mmlkit.parse(text, mode)
+                    except MalformedInput:
+                        pass
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_empty_and_whitespace_input(self):
         for bad in ("", "   \n\t"):
             with pytest.raises(MalformedInput):

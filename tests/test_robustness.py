@@ -139,3 +139,18 @@ def test_lenient_repairs_nothing_exactly_when_strict_parses(seed, kinds):
     else:
         assert report.repairs == ()
         assert strict_doc == doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), kinds=mutation_lists,
+       pretty=st.booleans())
+def test_parsed_documents_round_trip_through_strict_mode(seed, kinds, pretty):
+    text = mutated_text(seed, kinds)
+    for mode in ("lenient", "strict"):
+        try:
+            doc, _ = mmlkit.parse(text, mode)
+        except MmlError:
+            continue
+        again, report = mmlkit.parse(mmlkit.serialize(doc, pretty=pretty), "strict")
+        assert report.repairs == ()
+        assert again == doc
