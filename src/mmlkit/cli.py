@@ -23,6 +23,13 @@ from .convert import load_converters, stub_registry
 from .errors import MalformedInput, MmlError
 
 _FEATURE_ALIASES = {name.replace("_", "-"): name for name in core.CLEANABLE_FEATURES}
+_SPLITTERS = {"presentation": core.split_presentation, "content": core.split_content}
+_HISTOGRAM_MEASURES = {
+    "hist-abs": similarity.hist_distance_absolute,
+    "hist-rel": similarity.hist_distance_relative,
+    "emd": similarity.emd,
+    "cosine": similarity.cosine_similarity,
+}
 
 
 class _Exit(Exception):
@@ -130,7 +137,7 @@ def _build_parser() -> _Parser:
     sub = subs.add_parser("split",
                           help="extract one branch as a standalone document")
     add_mode_flags(sub)
-    sub.add_argument("--branch", required=True, choices=("presentation", "content"))
+    sub.add_argument("--branch", required=True, choices=tuple(_SPLITTERS))
     sub.add_argument("--pretty", action="store_true")
     sub.add_argument("inputs", nargs="+", type=_path, metavar="input")
 
@@ -219,9 +226,8 @@ def _cmd_clean(args, out):
 
 
 def _cmd_split(args, out):
-    splitter = core.split_presentation if args.branch == "presentation" else core.split_content
     for doc in _load_docs(args.inputs, args.mode):
-        out.write(core.serialize(splitter(doc), pretty=args.pretty) + "\n")
+        out.write(core.serialize(_SPLITTERS[args.branch](doc), pretty=args.pretty) + "\n")
     return 0
 
 
@@ -255,27 +261,17 @@ def _cmd_histogram(args, out):
 def _cmd_dist(args, out):
     doc_a, doc_b = _load_docs(args.inputs, args.mode)
     if args.measure == "ted":
-        if args.scope == "whole":
-            trees = (doc_a, doc_b)
-        elif args.scope == "presentation":
-            trees = (core.split_presentation(doc_a), core.split_presentation(doc_b))
-        else:
-            trees = (core.split_content(doc_a), core.split_content(doc_b))
-        value = similarity.tree_edit_distance(*trees, costs=args.costs,
+        split = _SPLITTERS.get(args.scope)  # None for the whole document
+        if split is not None:
+            doc_a, doc_b = split(doc_a), split(doc_b)
+        value = similarity.tree_edit_distance(doc_a, doc_b, costs=args.costs,
                                               label_mode=args.label_mode)
     else:
         if args.costs is not None:
             raise _UsageError("--costs only applies to --measure ted")
-        hist_a = similarity.histogram(doc_a, args.scope, args.include_structural)
-        hist_b = similarity.histogram(doc_b, args.scope, args.include_structural)
-        if args.measure == "hist-abs":
-            value = similarity.hist_distance_absolute(hist_a, hist_b)
-        elif args.measure == "hist-rel":
-            value = similarity.hist_distance_relative(hist_a, hist_b)
-        elif args.measure == "emd":
-            value = similarity.emd(hist_a, hist_b)
-        else:
-            value = similarity.cosine_similarity(hist_a, hist_b)
+        value = _HISTOGRAM_MEASURES[args.measure](
+            similarity.histogram(doc_a, args.scope, args.include_structural),
+            similarity.histogram(doc_b, args.scope, args.include_structural))
     out.write(format_number(value) + "\n")
     return 0
 

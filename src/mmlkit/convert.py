@@ -116,13 +116,17 @@ def list_converters(registry: Optional[ConverterRegistry] = None) -> list[str]:
     return (registry or _default_registry).list_converters()
 
 
-def _run_tool(spec: ConverterSpec, input_text: str) -> tuple[str, float]:
+def convert(
+    name: str, tex: str, registry: Optional[ConverterRegistry] = None
+) -> ConversionResult:
+    """Run the named converter on TeX source and parse its output leniently."""
+    spec = (registry or _default_registry).get(name)
     argv = shlex.split(spec.command)
     if spec.input_mode == "argument":
-        argv = [arg.replace("{input}", input_text) for arg in argv]
+        argv = [arg.replace("{input}", tex) for arg in argv]
         stdin_text = None
     else:
-        stdin_text = input_text
+        stdin_text = tex
     start = time.monotonic()
     try:
         proc = subprocess.run(
@@ -141,20 +145,11 @@ def _run_tool(spec: ConverterSpec, input_text: str) -> tuple[str, float]:
     elapsed = time.monotonic() - start
     if proc.returncode != 0:
         raise ToolFailed(spec.name, proc.returncode, (proc.stderr or "")[:500])
-    return proc.stdout, elapsed
-
-
-def convert(
-    name: str, tex: str, registry: Optional[ConverterRegistry] = None
-) -> ConversionResult:
-    """Run the named converter on TeX source and parse its output leniently."""
-    spec = (registry or _default_registry).get(name)
-    stdout, elapsed = _run_tool(spec, tex)
     try:
-        doc, report = core.parse(stdout, "lenient")
+        doc, report = core.parse(proc.stdout, "lenient")
     except MmlError as exc:
-        raise OutputNotMathML(spec.name, stdout, str(exc)) from None
-    return ConversionResult(doc, stdout, report, spec.name, elapsed)
+        raise OutputNotMathML(spec.name, proc.stdout, str(exc)) from None
+    return ConversionResult(doc, proc.stdout, report, spec.name, elapsed)
 
 
 def load_converters(
@@ -249,13 +244,7 @@ def canonicalize(
     tool, the serialized document is piped through that tool instead.
     """
     if adapter is not None:
-        spec = (registry or _default_registry).get(adapter)
-        stdout, _ = _run_tool(spec, core.serialize(doc))
-        try:
-            result, _ = core.parse(stdout, "lenient")
-        except MmlError as exc:
-            raise OutputNotMathML(spec.name, stdout, str(exc)) from None
-        return result
+        return convert(adapter, core.serialize(doc), registry).mathml
 
     def rebuild(node: MathNode, children: tuple[MathNode, ...]) -> MathNode:
         if node.name == "semantics":

@@ -42,7 +42,6 @@ from typing import Iterable, Iterator, Optional
 from .errors import DuplicateId, MalformedInput, MissingBranch, WouldBeEmpty
 
 MATHML_NS = "http://www.w3.org/1998/Math/MathML"
-XML_NS = "http://www.w3.org/XML/1998/namespace"
 TEX_ENCODING = "application/x-tex"
 CONTENT_ENCODING = "MathML-Content"
 
@@ -80,8 +79,9 @@ CONTENT_ELEMENTS = frozenset("""
     xor
 """.split())
 
-_NAME_CHAR = r"[^\s=/<>'\"]"
-_ENTITY_RE = re.compile(r"&([A-Za-z][A-Za-z0-9]*);")
+#: A name character for the repair scan: any XML name character, no other ASCII.
+_NAME_CHAR = r"[-.:0-9A-Z_a-z\x80-\U0010ffff]"
+_ENTITY_RE = re.compile(rf"&({_NAME_CHAR}+);")
 _ATTR_RE = re.compile(
     rf"(?P<key>{_NAME_CHAR}+)\s*=\s*(?P<quote>[\"'])(?P<value>.*?)(?P=quote)", re.S
 )
@@ -215,6 +215,24 @@ def _rebuild(doc: MathDoc, make) -> Optional[MathNode]:
     return built[0]
 
 
+def _preorder(root: MathNode) -> tuple[tuple, tuple, tuple]:
+    """Preorder nodes, parent handles and subtree sizes of ``root``'s tree,
+    from one iterative walk; handle ``h``'s subtree is ``nodes[h:h + sizes[h]]``."""
+    nodes: list[MathNode] = []
+    parents: list[Optional[int]] = []
+    stack: list[tuple[MathNode, Optional[int]]] = [(root, None)]
+    while stack:
+        node, parent = stack.pop()
+        handle = len(nodes)
+        nodes.append(node)
+        parents.append(parent)
+        stack.extend((child, handle) for child in reversed(node.children))
+    sizes = [1] * len(nodes)
+    for handle in range(len(nodes) - 1, 0, -1):
+        sizes[parents[handle]] += sizes[handle]
+    return tuple(nodes), tuple(parents), tuple(sizes)
+
+
 def iter_subtree(node: MathNode) -> Iterator[MathNode]:
     """All nodes of ``node``'s subtree in document (preorder) order."""
     stack = [node]
@@ -255,30 +273,12 @@ class MathDoc:
     def __init__(self, root: MathNode):
         if root.name != "math":
             raise MalformedInput("document root must be a math element")
-        self._root = root
-
-        nodes: list[MathNode] = []
-        parents: list[Optional[int]] = []
+        self._nodes, self._parents, self._sizes = _preorder(root)
         ids: dict[str, int] = {}
-        stack: list[tuple[MathNode, Optional[int]]] = [(root, None)]
-        while stack:
-            node, parent = stack.pop()
-            handle = len(nodes)
-            nodes.append(node)
-            parents.append(parent)
-            stack.extend((child, handle) for child in reversed(node.children))
+        for handle, node in enumerate(self._nodes):
             id_value = node.attr("id")
-            if id_value is not None:
-                if id_value in ids:
-                    raise DuplicateId(id_value)
-                ids[id_value] = handle
-        self._nodes = tuple(nodes)
-        self._parents = tuple(parents)
-
-        sizes = [1] * len(nodes)
-        for handle in range(len(nodes) - 1, 0, -1):
-            sizes[parents[handle]] += sizes[handle]
-        self._sizes = tuple(sizes)
+            if id_value is not None and ids.setdefault(id_value, handle) != handle:
+                raise DuplicateId(id_value)
 
         xref_map: dict[str, int] = {}
         dangling: list[tuple[int, str]] = []
@@ -315,7 +315,7 @@ class MathDoc:
 
     @property
     def root(self) -> MathNode:
-        return self._root
+        return self._nodes[0]
 
     @property
     def nodes(self) -> tuple[MathNode, ...]:
@@ -417,7 +417,7 @@ class MathDoc:
     def __eq__(self, other):
         if not isinstance(other, MathDoc):
             return NotImplemented
-        return self._root == other._root
+        return self._nodes[0] == other._nodes[0]
 
     def __repr__(self):
         return f"<MathDoc nodes={len(self._nodes)}>"
@@ -468,24 +468,14 @@ def _repair(text: str) -> tuple[str, list[Repair], list[tuple[int, int, int]]]:
     need_math = True
 
     def edit(start: int, end: int, replacement: str, rule: int, at: Optional[int]) -> None:
-        # Edits arrive in order of start and act as if spliced into the text
-        # from the last to the first.  In malformed input an edit can overlap
-        # the next (an entity inside a renamed tag name): the earlier edit's
-        # end then swallows what the later one wrote.
+        # edits arrive in order of start, and none begins before the last ends
         nonlocal copied, located, located_bytes
         if at is not None:  # never before an earlier repair's location
             # a lone surrogate has no UTF-8 form; expat rejects the input later
             located_bytes += len(text[located:at].encode("utf-8", "surrogatepass"))
             located = at
             found[rule].append(Repair(_REPAIR_KINDS[rule], located_bytes))
-        if copied > start:
-            skip = copied - start
-            if skip > len(replacement):
-                copied = end + skip - len(replacement)
-                return
-            replacement = replacement[skip:]
-        else:
-            out.append(text[copied:start])
+        out.append(text[copied:start])
         if text.endswith(replacement, start, end):  # a dropped prefix
             marks.append((start, end - len(replacement), 0))
         else:
@@ -568,7 +558,8 @@ def _repair(text: str) -> tuple[str, list[Repair], list[tuple[int, int, int]]]:
         if len(edits) > 1:  # in order of start; at one start, in reverse rule order
             edits.sort(key=lambda e: (e[0], -e[3]))
         for args in edits:
-            edit(*args)
+            if args[0] >= copied:  # an entity in a dropped declaration goes with it
+                edit(*args)
 
     out.append(text[copied:])
     return "".join(out), sum(found, []), marks
@@ -594,12 +585,14 @@ def _original_index(marks: list[tuple[int, int, int]], index: int) -> int:
 class _Builder:
     """Expat handlers that build each element's :class:`MathNode` once, when
     it closes.  MathML namespace declarations are dropped on the way (the
-    namespace is implicit in the model).  In strict mode the first
-    namespace violation in preorder is recorded in ``violation`` rather than
+    namespace is implicit in the model).  With ``check_prefixes`` the first
+    namespace violation in preorder (a math element that declares no default
+    namespace only if ``strict``) is recorded in ``violation`` rather than
     raised, so that a later well-formedness error still takes precedence."""
 
-    def __init__(self, strict: bool):
+    def __init__(self, strict: bool, check_prefixes: bool):
         self._strict = strict
+        self._check_prefixes = check_prefixes
         self._stack: list[list] = []  # [name, attributes, text parts, children, prefix scope]
         self.root: Optional[MathNode] = None
         self.violation: Optional[str] = None
@@ -612,7 +605,7 @@ class _Builder:
             if value != MATHML_NS or not (key == "xmlns" or key.startswith("xmlns:"))
         ]
         scope = self._stack[-1][4] if self._stack else {}
-        if self._strict and self.violation is None:
+        if self._check_prefixes and self.violation is None:
             scope = self._check_strict(name, attrs, scope)
         self._stack.append([name, pairs, [], [], scope])
 
@@ -620,7 +613,7 @@ class _Builder:
         """Record the element's first strict-mode violation; return the
         prefix scope its children see."""
         keys = attrs[0::2]
-        if not self._stack and "xmlns" not in keys:
+        if self._strict and not self._stack and "xmlns" not in keys:
             self.violation = "math element lacks a namespace declaration (strict mode)"
             return env
         scope = env
@@ -668,7 +661,9 @@ def parse(text: str, mode: str = "lenient") -> tuple[MathDoc, ParseReport]:
     declares none, (2) replace HTML5/MathML named entities with their code
     points, (3) drop namespace prefixes on MathML-namespace elements and
     attributes.  Strict mode rejects any input those rules would rewrite.
-    Both modes reject an undeclared entity that the XML parser would skip
+    Where the text declares an entity, whose expansion the repair scan cannot
+    see, lenient mode checks namespace prefixes as strict mode does.  Both
+    modes reject an undeclared entity that the XML parser would skip
     because the DOCTYPE names an external subset, which it does not read.
     """
     if mode not in ("strict", "lenient"):
@@ -684,16 +679,25 @@ def parse(text: str, mode: str = "lenient") -> tuple[MathDoc, ParseReport]:
     parser = xml.parsers.expat.ParserCreate()  # namespace processing off
     parser.ordered_attributes = True
     parser.buffer_text = True
-    builder = _Builder(strict=mode == "strict")
+    builder = _Builder(mode == "strict", mode == "strict" or "<!ENTITY" in text)
     parser.StartElementHandler = builder.start
     parser.EndElementHandler = builder.end
     parser.CharacterDataHandler = builder.chars
+    declared = set(_PREDEFINED_ENTITIES)  # general entities
+
+    def entity(name, is_parameter_entity, *_) -> None:
+        if not is_parameter_entity:
+            declared.add(name)
+
+    parser.EntityDeclHandler = entity
+
+    def where(at: int) -> str:  # ``at`` indexes the parsed text
+        lines = _LINE_BREAK_RE.split(text[:_original_index(marks, at)])
+        return f"line {len(lines)}, column {len(lines[-1])}"
 
     def position(byte_index: int, line: int, column: int) -> str:
         if marks:  # expat's position in the repaired text, taken back to the input
-            at = len(work.encode("utf-8")[:byte_index].decode("utf-8"))
-            lines = _LINE_BREAK_RE.split(text[:_original_index(marks, at)])
-            line, column = len(lines), len(lines[-1])
+            return where(len(work.encode("utf-8")[:byte_index].decode("utf-8")))
         return f"line {line}, column {column}"
 
     def skipped(name: str, _is_parameter_entity: bool) -> None:
@@ -716,6 +720,13 @@ def parse(text: str, mode: str = "lenient") -> tuple[MathDoc, ParseReport]:
         raise MalformedInput(f"unparseable input: {exc}") from None
     finally:
         parser.SkippedEntityHandler = None  # it refers back to the parser
+    if "<!DOCTYPE" in work:  # only then may expat drop an undeclared entity from a value
+        for token in _TOKEN_RE.finditer(work):
+            if token.lastgroup == "start":
+                for ref in _ENTITY_RE.finditer(work, *token.span()):
+                    if ref[1] not in declared:
+                        raise MalformedInput(
+                            f"undefined entity &{ref[1]};: " + where(ref.start()))
     root = builder.root
     if root is None:
         raise MalformedInput("input contains no element")
@@ -736,55 +747,60 @@ def parse(text: str, mode: str = "lenient") -> tuple[MathDoc, ParseReport]:
 # serialization
 # ---------------------------------------------------------------------------
 
-def _escape_text(value: str) -> str:
-    return value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+#: The references serialization writes: an XML parser would read a raw carriage
+#: return as a line feed, and a raw tab or line break in a value as a space.
+_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
+            "\t": "&#9;", "\n": "&#10;", "\r": "&#13;"}
+_TEXT_SPECIALS = re.compile("[&<>\r]")
+_ATTR_SPECIALS = re.compile('[&<>"\t\n\r]')
 
 
-def _escape_attr(value: str) -> str:
-    return _escape_text(value).replace('"', "&quot;")
+def _escape(value: str, specials: re.Pattern = _TEXT_SPECIALS) -> str:
+    if specials.search(value) is None:  # most values need none; a search beats a sub
+        return value
+    return specials.sub(lambda match: _ESCAPES[match[0]], value)
 
 
-def _emit(root: MathNode, pretty: bool,
+def _emit(nodes: tuple[MathNode, ...], sizes: tuple[int, ...], pretty: bool,
           extra_attrs: tuple[tuple[str, str], ...] = ()) -> str:
+    """XML for a tree given by preorder nodes and subtree sizes (as from
+    :func:`_preorder`); ``extra_attrs`` go first on the root."""
     out: list[str] = []
-    # one (remaining children, closing tag) entry per open ancestor
-    stack: list[tuple[Iterator[MathNode], str]] = []
-    node, extra = root, extra_attrs
-    while True:
-        name, children, text = node.name, node.children, node.text
+    stack: list[tuple[int, str]] = []  # (end of subtree, end tag) per open ancestor
+    extra = extra_attrs
+    for handle, node in enumerate(nodes):
+        name, text = node.name, node.text
         indent = "  " * len(stack) if pretty else ""
         attrs = "".join(
-            f' {key}="{_escape_attr(value)}"' for key, value in extra + node.attributes
+            f' {key}="{_escape(value, _ATTR_SPECIALS)}"' for key, value in extra + node.attributes
         ) if extra or node.attributes else ""
-        if children:
+        extra = ()
+        if sizes[handle] > 1:
             out.append(f"{indent}<{name}{attrs}>")
             if text is not None:
-                out.append(("  " * (len(stack) + 1) if pretty else "") + _escape_text(text))
-            stack.append((iter(children), f"{indent}</{name}>"))
-        elif text is None:
+                out.append(("  " * (len(stack) + 1) if pretty else "") + _escape(text))
+            stack.append((handle + sizes[handle], f"{indent}</{name}>"))
+            continue
+        if text is None:
             out.append(f"{indent}<{name}{attrs}/>")
         else:
-            out.append(f"{indent}<{name}{attrs}>{_escape_text(text)}</{name}>")
-        while stack:
-            node = next(stack[-1][0], None)
-            if node is not None:
-                break
+            out.append(f"{indent}<{name}{attrs}>{_escape(text)}</{name}>")
+        while stack and stack[-1][0] == handle + 1:
             out.append(stack.pop()[1])
-        else:
-            return "\n".join(out) if pretty else "".join(out)
-        extra = ()
+    return "\n".join(out) if pretty else "".join(out)
 
 
 def serialize_node(node: MathNode, pretty: bool = False) -> str:
     """Serialize a node subtree as an XML fragment (no namespace injected)."""
-    return _emit(node, pretty)
+    nodes, _, sizes = _preorder(node)
+    return _emit(nodes, sizes, pretty)
 
 
 def serialize(doc: MathDoc, pretty: bool = False) -> str:
     """Serialize a document as well-formed XML with the MathML namespace
     declared on the math element.  Byte-deterministic for a given input;
     ``parse(serialize(doc), "strict")`` reproduces an equal tree."""
-    return _emit(doc.root, pretty, extra_attrs=(("xmlns", MATHML_NS),))
+    return _emit(doc.nodes, doc._sizes, pretty, extra_attrs=(("xmlns", MATHML_NS),))
 
 
 # ---------------------------------------------------------------------------

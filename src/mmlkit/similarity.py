@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Union
 
-from .core import MathDoc, MathNode
+from .core import MathDoc, MathNode, _preorder
 from .errors import EmptyHistogram
 
 #: Wrapper elements that carry no mathematical content of their own.
@@ -162,30 +162,28 @@ class CostConfig:
             object.__setattr__(self, op, float(value))
 
 
-def _flatten(root: MathNode, label_mode: str, intern: dict) -> tuple[list, list, list]:
+def _flatten(tree: Union[MathDoc, MathNode], label_mode: str,
+             intern: dict) -> tuple[list, list, list]:
     """Postorder arrays for Zhang/Shasha, 1-indexed: labels interned to small
     ints through ``intern``, leftmost-leaf indices, and the keyroots (the
-    last node with each leftmost leaf), ascending."""
+    last node with each leftmost leaf), ascending.  Sorting the preorder
+    handles (a document's own, else :func:`core._preorder`'s) by subtree end,
+    deepest first, gives postorder, where node ``k``'s leftmost leaf is
+    ``k - size + 1``."""
+    if isinstance(tree, MathDoc):
+        nodes, sizes = tree.nodes, tree._sizes
+    else:
+        nodes, _, sizes = _preorder(tree)
     with_text = label_mode == "name-text"
     labels = [None]
     lml = [0]
-    stack = [(root, iter(root.children), 1)]
-    while stack:
-        node, children, first = stack[-1]
-        child = next(children, None)
-        if child is not None:
-            stack.append((child, iter(child.children), len(labels)))
-            continue
-        stack.pop()
-        label = (node.name, node.text) if with_text and not node.children else node.name
+    for k, h in enumerate(sorted(range(len(nodes)), key=lambda i: (i + sizes[i], -i)), 1):
+        node = nodes[h]
+        label = (node.name, node.text) if with_text and sizes[h] == 1 else node.name
         labels.append(intern.setdefault(label, len(intern)))
-        lml.append(first)
+        lml.append(k - sizes[h] + 1)
     last_with_lml = {first: k for k, first in enumerate(lml) if k}
     return labels, lml, sorted(last_with_lml.values())
-
-
-def _as_node(tree: Union[MathDoc, MathNode]) -> MathNode:
-    return tree.root if isinstance(tree, MathDoc) else tree
 
 
 def tree_edit_distance(
@@ -204,8 +202,8 @@ def tree_edit_distance(
         raise ValueError(f"unknown label mode {label_mode!r}")
     costs = costs or CostConfig()
     intern: dict = {}
-    labels_a, lml_a, keyroots_a = _flatten(_as_node(a), label_mode, intern)
-    labels_b, lml_b, keyroots_b = _flatten(_as_node(b), label_mode, intern)
+    labels_a, lml_a, keyroots_a = _flatten(a, label_mode, intern)
+    labels_b, lml_b, keyroots_b = _flatten(b, label_mode, intern)
     insert, delete, rename = costs.insert, costs.delete, costs.rename
 
     # td[x][y] is the distance between the subtrees rooted at x and y.  For

@@ -246,6 +246,30 @@ def _external_doctype(rng: random.Random, text: str) -> str:
     return '<!DOCTYPE math SYSTEM "mathml.dtd">' + text
 
 
+def _entity_markup(rng: random.Random, text: str) -> str:
+    """Declare internal-subset entities that the repair scan cannot see into:
+    one expanding to prefixed markup, used in the math element's content,
+    and one expanding to the MathML URI, bound to a prefix on the math
+    element."""
+    tag = _TAG_OPEN_RE.search(text)
+    if tag is None:
+        return text
+    at, piece = (text.find(">") + 1, "&e;") if rng.random() < 0.5 else (
+        tag.end(), ' xmlns:m="&ns;"')
+    return (f'<!DOCTYPE math [<!ENTITY e "<m:mi>x</m:mi>"><!ENTITY ns "{MATHML_NS}">]>'
+            + text[:at] + piece + text[at:])
+
+
+def _control_chars(rng: random.Random, text: str) -> str:
+    """Write a tab, line feed or carriage return as a character reference
+    after the first character of an attribute value or of some text."""
+    spots = [match.end() for match in re.finditer(r'="[^"]|>[^<\s]', text)]
+    if not spots:
+        return text
+    at = rng.choice(spots)
+    return text[:at] + rng.choice(["&#9;", "&#10;", "&#13;"]) + "z" + text[at:]
+
+
 #: Text mutations for robustness tests, each ``(rng, text) -> text``.
 MUTATIONS = {
     "drop-namespace": lambda rng, text: strip_namespace(text),
@@ -263,6 +287,8 @@ MUTATIONS = {
     "doctype-entity": _doctype_entity,
     "charref-namespace": _charref_namespace,
     "external-doctype": _external_doctype,
+    "entity-markup": _entity_markup,
+    "control-chars": _control_chars,
 }
 
 

@@ -284,6 +284,72 @@ class TestLenientRepairs:
         assert [r.kind for r in report.repairs] == [REPAIR_ENTITY_REPLACED]
         assert [node.text for node in doc.nodes[1:]] == ["α", "y"]
 
+    def test_entities_skipped_in_attribute_values_raise(self):
+        # expat drops an undeclared entity from an attribute value under an
+        # external subset without calling any handler
+        text = (f'<!DOCTYPE math PUBLIC "-//W3C//DTD MathML 2.0//EN" "mathml2.dtd">\n'
+                f'<math xmlns="{NS}">\n<mi a="&bogus;&foo;">x</mi></math>')
+        for mode in ("lenient", "strict"):
+            with pytest.raises(MalformedInput,
+                               match=r"^undefined entity &bogus;: line 3, column 7$"):
+                mmlkit.parse(text, mode)
+        # lenient mode replaces a known entity first; a declared one is expat's
+        text = text.replace("&bogus;&foo;", "&alpha;&foo;").replace(
+            "mathml2.dtd\">", 'mathml2.dtd" [<!ENTITY foo "f">]>')
+        with pytest.raises(MalformedInput, match="undefined entity &alpha;: line 3, column 7"):
+            mmlkit.parse(text, "strict")
+        doc, report = mmlkit.parse(text)
+        assert [r.kind for r in report.repairs] == [REPAIR_ENTITY_REPLACED]
+        assert doc.root.children[0].attr("a") == "αf"
+
+    @pytest.mark.parametrize("text", [
+        f'<math xmlns="{NS}"><mi &p:a="1">x</mi></math>',
+        f'<math xmlns="{NS}"><mi !p:a="1">x</mi></math>',
+        f'<math xmlns="{NS}"><mi ;p:a="1">x</mi></math>',
+        "<mml:math><mml:mi>x</mm&bogus;l:mi></mml:math>",
+    ])
+    def test_text_that_is_not_a_name_is_never_a_prefix(self, text):
+        with pytest.raises(MalformedInput) as strict:
+            mmlkit.parse(text, "strict")
+        with pytest.raises(MalformedInput) as lenient:
+            mmlkit.parse(text)
+        assert str(lenient.value) == str(strict.value)
+
+    @pytest.mark.parametrize("text, message", [
+        (f'<!DOCTYPE math [<!ENTITY e "<m:mi>x</m:mi>">]><math xmlns="{NS}">&e;</math>',
+         "undeclared namespace prefix 'm' (strict mode)"),
+        (f'<!DOCTYPE math [<!ENTITY ns "{NS}">]><math xmlns="{NS}" xmlns:m="&ns;">'
+         "<m:mi>x</m:mi></math>", "prefix 'm' bound to the MathML namespace (strict mode)"),
+    ])
+    def test_markup_from_entity_expansions_gets_strict_checks(self, text, message):
+        # the repair scan never sees what an internal-subset entity expands to
+        for mode in ("lenient", "strict"):
+            with pytest.raises(MalformedInput) as info:
+                mmlkit.parse(text, mode)
+            assert str(info.value) == message
+
+    def test_an_entity_in_a_dropped_declaration_goes_with_it(self):
+        # html.unescape reads "&colon;" as ":", so the value names MathML
+        text = '<math xmlns:m="http&colon;//www.w3.org/1998/Math/MathML"><m:mi>x</m:mi></math>'
+        doc, report = mmlkit.parse(text)
+        assert report.repairs == (
+            Repair(REPAIR_ATTRIBUTE_NAMESPACE_DROPPED, text.index("xmlns:m")),
+            Repair(REPAIR_ATTRIBUTE_NAMESPACE_DROPPED, text.index("<m:mi>")),
+        )
+        assert mmlkit.serialize(doc) == f'<math xmlns="{NS}"><mi>x</mi></math>'
+
+    def test_entity_expansions_are_checked_also_after_repairs(self):
+        text = (f'<!DOCTYPE math [<!ENTITY e "<m:mi>x</m:mi>">]>'
+                f'<math xmlns="{NS}"><mi>&alpha;</mi>&e;</math>')
+        with pytest.raises(MalformedInput,
+                           match=r"^undeclared namespace prefix 'm' \(strict mode\)$"):
+            mmlkit.parse(text)
+        # a math element bound to MathML through a prefix is still repaired
+        doc, report = mmlkit.parse(f'<!DOCTYPE math [<!ENTITY a "y">]>'
+                                   f'<m:math xmlns:m="{NS}"><m:mi>&a;</m:mi></m:math>')
+        assert {r.kind for r in report.repairs} == {REPAIR_ATTRIBUTE_NAMESPACE_DROPPED}
+        assert mmlkit.serialize(doc) == f'<math xmlns="{NS}"><mi>y</mi></math>'
+
     def test_repair_locations_are_byte_offsets_of_their_constructs(self):
         # rule 1 on the math element, entities in text and attribute values,
         # prefixed element names and attribute keys, and dropped MathML
@@ -547,6 +613,16 @@ class TestSerialization:
         reparsed, report = mmlkit.parse(mmlkit.serialize(doc), "strict")
         assert report.repairs == ()
         assert reparsed == doc
+
+    @pytest.mark.parametrize("text", [
+        '<mi a="x&#10;y&#9;z&#13;">z</mi>',
+        "<mi>x&#13;y</mi>",
+        "<mi>\tx&#13;\ny\t</mi>",
+    ])
+    @pytest.mark.parametrize("pretty", [False, True])
+    def test_tabs_and_line_breaks_round_trip(self, text, pretty):
+        doc, _ = mmlkit.parse(f'<math xmlns="{NS}">{text}</math>', "strict")
+        assert mmlkit.parse(mmlkit.serialize(doc, pretty=pretty), "strict")[0] == doc
 
     def test_pretty_output_parses_to_equal_tree(self, listing1_doc):
         pretty = mmlkit.serialize(listing1_doc, pretty=True)

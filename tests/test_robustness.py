@@ -68,7 +68,13 @@ def test_hand_built_tree_deeper_than_the_recursion_limit():
     # MAX_DEPTH bounds parsed input only; a hand-built tree may nest deeper
     chain = hand_built_chain(1000)
     assert mmlkit.serialize(MathDoc(chain)) == nested(1000)
+    assert mmlkit.serialize(MathDoc(chain), pretty=True).split("\n") == (
+        [f'<math xmlns="{NS}">'] + ["  " * level + "<mrow>" for level in range(1, 999)]
+        + ["  " * 999 + "<mi>x</mi>"]
+        + ["  " * level + "</mrow>" for level in range(998, 0, -1)] + ["</math>"])
+    assert mmlkit.serialize_node(chain) == nested(1000).replace(f' xmlns="{NS}"', "")
     assert mmlkit.tree_edit_distance(chain, mmlkit.MathNode("math")) == 999.0
+    assert mmlkit.tree_edit_distance(MathDoc(chain), mmlkit.MathNode("math")) == 999.0
     assert mmlkit.serialize(mmlkit.clean(MathDoc(chain), {"annotations"})) == nested(1000)
     assert mmlkit.serialize(canonicalize(MathDoc(chain))) == nested(1000)
     # equality and hashing walk two distinct chains without recursion

@@ -291,6 +291,28 @@ class TestTreeEditDistance:
             )
             assert actual == pytest.approx(expected, abs=1e-9)
 
+    def test_documents_and_bare_trees_agree_with_reference(self):
+        # a document is read through its own preorder index, a bare tree
+        # through a fresh walk; one tree holds the same subtree object twice
+        rng = random.Random(137)
+
+        def tree():
+            node = generators.label_tree_to_node(generators.random_label_tree(rng, 5))
+            leaves = tuple(mmlkit.MathNode("mi", (), rng.choice(["x", "y", None]))
+                           for _ in range(rng.randint(0, 2)))
+            kids = (node, *leaves, node) if rng.random() < 0.3 else (*leaves, node)
+            return mmlkit.MathNode("math", (), None, kids)
+
+        for _ in range(40):
+            a, b = tree(), tree()
+            for label_mode, with_text in (("name", False), ("name-text", True)):
+                expected = oracles.ted_reference(oracles.as_label_tree(a, with_text),
+                                                 oracles.as_label_tree(b, with_text))
+                for x, y in ((a, b), (mmlkit.MathDoc(a), b), (a, mmlkit.MathDoc(b)),
+                             (mmlkit.MathDoc(a), mmlkit.MathDoc(b))):
+                    actual = mmlkit.tree_edit_distance(x, y, label_mode=label_mode)
+                    assert actual == pytest.approx(expected, abs=1e-9)
+
     def test_metric_axioms_unit_costs(self):
         rng = random.Random(101)
         trees = [generators.random_label_tree(rng, 6) for _ in range(12)]
