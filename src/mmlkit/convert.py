@@ -19,6 +19,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass
+from operator import le
 from typing import Optional
 
 from . import core
@@ -240,15 +241,25 @@ def canonicalize(
     The built-in canonicalizer sorts attributes by key and orders the
     children of semantics as presentation, content annotation-xml, other
     annotation-xml, then annotations; it is idempotent and preserves the
-    element multiset.  When ``adapter`` names a registered converter-style
-    tool, the serialized document is piped through that tool instead.
+    element multiset.  The result shares every subtree that is already
+    canonical with ``doc``, and a canonical ``doc`` comes back as itself.
+    When ``adapter`` names a registered converter-style tool, the serialized
+    document is piped through that tool instead.
     """
     if adapter is not None:
         return convert(adapter, core.serialize(doc), registry).mathml
 
     def rebuild(node: MathNode, children: tuple[MathNode, ...]) -> MathNode:
+        attributes = node.attributes
+        if len(attributes) > 1 and not all(map(le, attributes, attributes[1:])):
+            attributes = tuple(sorted(attributes))
         if node.name == "semantics":
-            children = tuple(sorted(children, key=core._semantics_rank))
-        return core._node(node.name, tuple(sorted(node.attributes)), node.text, children)
+            ranked = sorted(children, key=core._semantics_rank)
+            if not core._same(ranked, children):
+                children = tuple(ranked)
+        if attributes is node.attributes and children is node.children:
+            return node
+        return core._node(node.name, attributes, node.text, children)
 
-    return MathDoc(core._rebuild(doc, rebuild))
+    root = core._rebuild(doc, rebuild)
+    return doc if root is doc.root else MathDoc(root)

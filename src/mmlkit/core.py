@@ -26,7 +26,9 @@ raises :class:`MalformedInput`.  The bound limits input only: ``==``,
 parent and subtree size: a node's subtree, and each branch, is one contiguous
 slice of ``doc.nodes``.  A node object may occur at several places in a
 hand-built tree; each occurrence has its own handle, and
-:meth:`MathDoc.handle` returns the first of them in preorder.
+:meth:`MathDoc.handle` returns the first of them in preorder.  ``clean`` and
+``canonicalize`` copy only the nodes on a path from a change to the root, so
+their results share unchanged subtrees, node objects, with their input.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from html import unescape
 from html.entities import html5 as _HTML5_ENTITIES
+from operator import is_
 from typing import Iterable, Iterator, Optional
 
 from .errors import DuplicateId, MalformedInput, MissingBranch, WouldBeEmpty
@@ -101,6 +104,8 @@ _TOKEN_RE = re.compile(
 )
 _ENTITY_DECLARATION_RE = re.compile(r"<!ENTITY\s+([A-Za-z][A-Za-z0-9]*)\s")
 _LINE_BREAK_RE = re.compile(r"\r\n?|\n")  # as expat counts lines
+_UNDEFINED_ENTITY = xml.parsers.expat.errors.codes[
+    xml.parsers.expat.errors.XML_ERROR_UNDEFINED_ENTITY]
 
 
 # ---------------------------------------------------------------------------
@@ -200,17 +205,31 @@ def _semantics_rank(node: MathNode) -> int:
     return _CONTENT_XML if node.attr("encoding") == CONTENT_ENCODING else _OTHER_XML
 
 
+def _same(a, b) -> bool:
+    """Whether two sequences hold the same objects, in the same order."""
+    return len(a) == len(b) and all(map(is_, a, b))
+
+
 def _rebuild(doc: MathDoc, make) -> Optional[MathNode]:
     """Rebuild ``doc``'s tree bottom up, without recursion.
 
     ``make(node, children)`` returns the replacement of ``node`` given the
     replacements of its children (those that are not ``None``), or ``None``
-    to drop it; the result is the root's replacement."""
+    to drop it; the result is the root's replacement.  When every child's
+    replacement is that child itself, ``children`` is ``node.children``, and
+    ``make`` should then return ``node`` itself unless it changes the node:
+    the result shares every unchanged subtree with ``doc``, and only the
+    nodes on a path from a change to the root are new."""
     built: list[Optional[MathNode]] = []  # replacements of later subtrees, nearest last
     for node in reversed(doc.nodes):
-        cut = len(built) - len(node.children)
-        children = tuple(c for c in reversed(built[cut:]) if c is not None)
-        del built[cut:]
+        children = node.children
+        if children:
+            cut = len(built) - len(children)
+            rebuilt = built[cut:]
+            del built[cut:]
+            rebuilt.reverse()
+            if not all(map(is_, rebuilt, children)):  # a node is never false; None is
+                children = tuple(filter(None, rebuilt))
         built.append(make(node, children))
     return built[0]
 
@@ -328,7 +347,10 @@ class MathDoc:
     def handle(self, node: MathNode) -> int:
         """Handle of a node object belonging to this document, found by
         scanning ``nodes``: a node object that occurs at several places (a
-        shared subtree) gets the handle of its first occurrence in preorder."""
+        shared subtree) gets the handle of its first occurrence in preorder.
+        One node object may also belong to several documents, such as a
+        document and the result of ``clean`` or ``canonicalize``; the handle
+        is this document's."""
         for handle, candidate in enumerate(self._nodes):
             if candidate is node:
                 return handle
@@ -662,9 +684,11 @@ def parse(text: str, mode: str = "lenient") -> tuple[MathDoc, ParseReport]:
     points, (3) drop namespace prefixes on MathML-namespace elements and
     attributes.  Strict mode rejects any input those rules would rewrite.
     Where the text declares an entity, whose expansion the repair scan cannot
-    see, lenient mode checks namespace prefixes as strict mode does.  Both
-    modes reject an undeclared entity that the XML parser would skip
-    because the DOCTYPE names an external subset, which it does not read.
+    see, or names an element with the reserved ``xmlns`` prefix, which the
+    scan keeps, lenient mode checks namespace prefixes as strict mode does.
+    Both modes reject an undeclared entity that the XML parser would skip
+    because the DOCTYPE names an external subset, which it does not read,
+    and report an undefined entity in an attribute value at the entity.
     """
     if mode not in ("strict", "lenient"):
         raise ValueError(f"unknown parse mode {mode!r}")
@@ -679,7 +703,10 @@ def parse(text: str, mode: str = "lenient") -> tuple[MathDoc, ParseReport]:
     parser = xml.parsers.expat.ParserCreate()  # namespace processing off
     parser.ordered_attributes = True
     parser.buffer_text = True
-    builder = _Builder(mode == "strict", mode == "strict" or "<!ENTITY" in text)
+    # the scan neither sees what a declared entity expands to nor drops an
+    # element name's xmlns: prefix, so those texts get strict mode's checks
+    builder = _Builder(mode == "strict",
+                       mode == "strict" or "<!ENTITY" in text or "<xmlns:" in work)
     parser.StartElementHandler = builder.start
     parser.EndElementHandler = builder.end
     parser.CharacterDataHandler = builder.chars
@@ -695,10 +722,19 @@ def parse(text: str, mode: str = "lenient") -> tuple[MathDoc, ParseReport]:
         lines = _LINE_BREAK_RE.split(text[:_original_index(marks, at)])
         return f"line {len(lines)}, column {len(lines[-1])}"
 
+    def index(byte_index: int) -> int:  # of expat's byte offset into the parsed text
+        return len(work.encode("utf-8")[:byte_index].decode("utf-8"))
+
     def position(byte_index: int, line: int, column: int) -> str:
         if marks:  # expat's position in the repaired text, taken back to the input
-            return where(len(work.encode("utf-8")[:byte_index].decode("utf-8")))
+            return where(index(byte_index))
         return f"line {line}, column {column}"
+
+    def undefined(tag: re.Match) -> Optional[re.Match]:
+        """The first entity reference in a start tag that is neither
+        predefined nor declared."""
+        return next((ref for ref in _ENTITY_RE.finditer(work, *tag.span())
+                     if ref[1] not in declared), None)
 
     def skipped(name: str, _is_parameter_entity: bool) -> None:
         # expat skips, rather than rejects, an undeclared entity when the
@@ -710,10 +746,14 @@ def parse(text: str, mode: str = "lenient") -> tuple[MathDoc, ParseReport]:
     try:
         parser.Parse(work, True)
     except xml.parsers.expat.ExpatError as exc:
+        at = position(parser.ErrorByteIndex, exc.lineno, exc.offset)
+        if exc.code == _UNDEFINED_ENTITY:  # in a value, expat gives the tag's place
+            tag = _TOKEN_RE.match(work, index(parser.ErrorByteIndex))
+            ref = tag is not None and tag.lastgroup == "start" and undefined(tag)
+            if ref:
+                at = where(ref.start())
         raise MalformedInput(
-            f"not well-formed XML: {xml.parsers.expat.ErrorString(exc.code)}: "
-            + position(parser.ErrorByteIndex, exc.lineno, exc.offset)
-        ) from None
+            f"not well-formed XML: {xml.parsers.expat.ErrorString(exc.code)}: {at}") from None
     except UnicodeEncodeError as exc:  # a lone surrogate
         at = _original_index(marks, exc.start)
         exc = UnicodeEncodeError(exc.encoding, text, at, at + exc.end - exc.start, exc.reason)
@@ -722,11 +762,9 @@ def parse(text: str, mode: str = "lenient") -> tuple[MathDoc, ParseReport]:
         parser.SkippedEntityHandler = None  # it refers back to the parser
     if "<!DOCTYPE" in work:  # only then may expat drop an undeclared entity from a value
         for token in _TOKEN_RE.finditer(work):
-            if token.lastgroup == "start":
-                for ref in _ENTITY_RE.finditer(work, *token.span()):
-                    if ref[1] not in declared:
-                        raise MalformedInput(
-                            f"undefined entity &{ref[1]};: " + where(ref.start()))
+            ref = token.lastgroup == "start" and undefined(token)
+            if ref:
+                raise MalformedInput(f"undefined entity &{ref[1]};: " + where(ref.start()))
     root = builder.root
     if root is None:
         raise MalformedInput("input contains no element")
@@ -855,13 +893,15 @@ CLEANABLE_FEATURES = frozenset(
 
 
 def clean(doc: MathDoc, features: Iterable[str]) -> MathDoc:
-    """Remove the named features and return a new document.
+    """Remove the named features and return the resulting document.
 
     ``cross_references`` deletes every id and xref attribute;
     ``content_branch`` deletes MathML-Content annotation-xml elements;
     ``presentation_branch`` deletes the presentation child of semantics;
     ``annotations`` deletes annotation elements.  When a single branch and no
-    annotations remain under semantics, the wrapper is unwrapped.
+    annotations remain under semantics, the wrapper is unwrapped.  The result
+    shares every unchanged subtree with ``doc``, and is ``doc`` itself when
+    nothing changes.
     """
     feature_set = frozenset(features)
     if not feature_set:
@@ -874,15 +914,7 @@ def clean(doc: MathDoc, features: Iterable[str]) -> MathDoc:
     drop_presentation = "presentation_branch" in feature_set
     drop_annotations = "annotations" in feature_set
     drop_xrefs = "cross_references" in feature_set
-
-    def rebuild(node: MathNode, children: tuple[MathNode, ...]) -> Optional[MathNode]:
-        rank = _semantics_rank(node)
-        if (drop_annotations and rank == _ANNOTATION) or (drop_content and rank == _CONTENT_XML):
-            return None
-        attributes = node.attributes
-        if drop_xrefs:
-            attributes = tuple((k, v) for k, v in attributes if k not in ("id", "xref"))
-        return _node(node.name, attributes, node.text, children)
+    root = doc.root
 
     def unwrap_semantics(node: MathNode) -> list[MathNode]:
         kept = [
@@ -893,17 +925,31 @@ def clean(doc: MathDoc, features: Iterable[str]) -> MathDoc:
             return [kept[0]]  # lone presentation branch: unwrap semantics
         if len(kept) == 1 and _semantics_rank(kept[0]) == _CONTENT_XML:
             return list(kept[0].children)  # lone content branch: unwrap both wrappers
+        if len(kept) == len(node.children):
+            return [node]
         return [_node(node.name, node.attributes, node.text, tuple(kept))] if kept else []
 
-    root = _rebuild(doc, rebuild)
-    new_children: list[MathNode] = []
-    for child in root.children:
-        if child.name == "semantics":
-            new_children.extend(unwrap_semantics(child))
-        else:
-            new_children.append(child)
-    root = _node("math", root.attributes, root.text, tuple(new_children))
-    result = MathDoc(root)
+    def rebuild(node: MathNode, children: tuple[MathNode, ...]) -> Optional[MathNode]:
+        rank = _semantics_rank(node)
+        if (drop_annotations and rank == _ANNOTATION) or (drop_content and rank == _CONTENT_XML):
+            return None
+        attributes = node.attributes
+        if drop_xrefs:
+            kept = tuple((k, v) for k, v in attributes if k not in ("id", "xref"))
+            if len(kept) < len(attributes):
+                attributes = kept
+        if node is root:
+            top: list[MathNode] = []
+            for child in children:
+                top.extend(unwrap_semantics(child) if child.name == "semantics" else (child,))
+            if not _same(top, children):
+                children = tuple(top)
+        if attributes is node.attributes and children is node.children:
+            return node
+        return _node(node.name, attributes, node.text, children)
+
+    rebuilt = _rebuild(doc, rebuild)
+    result = doc if rebuilt is root else MathDoc(rebuilt)
     if not result.presentation_nodes and not result.content_nodes:
         raise WouldBeEmpty("cleaning would leave no math content")
     return result

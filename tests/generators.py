@@ -81,6 +81,38 @@ def random_doc(rng: random.Random) -> MathDoc:
     return MathDoc(random_parallel_root(rng, tex=f"t{rng.randint(0, 99)}"))
 
 
+#: Attributes added in random order by :func:`shuffled_shared_root`.
+EXTRA_ATTRIBUTES = (("class", "k"), ("dir", "rtl"), ("mathvariant", "bold"))
+
+
+def shuffled_shared_root(rng: random.Random) -> MathNode:
+    """The tree of :func:`random_doc`, ids and xrefs kept or dropped at
+    random, with extra attributes and every attribute tuple in random order,
+    the children of semantics in random order, and subtrees without ids
+    occurring at several places: the same node object, not a copy."""
+    keep_ids = rng.random() < 0.3
+    shared: list[MathNode] = []  # finished subtrees that hold no id
+
+    def build(node: MathNode) -> MathNode:
+        children = [build(child) for child in node.children]
+        if node.name == "semantics":
+            rng.shuffle(children)
+        elif node.name != "math" and shared:
+            for at in range(len(children)):
+                if rng.random() < 0.4:
+                    children[at] = rng.choice(shared)
+        attributes = [(key, value) for key, value in node.attributes
+                      if keep_ids or key not in ("id", "xref")]
+        attributes += rng.sample(EXTRA_ATTRIBUTES, rng.randint(0, 2))
+        rng.shuffle(attributes)
+        built = MathNode(node.name, tuple(attributes), node.text, tuple(children))
+        if not any(n.has_attr("id") for n in _walk(built)):
+            shared.append(built)
+        return built
+
+    return build(random_doc(rng).root)
+
+
 def _walk(node: MathNode):
     yield node
     for child in node.children:
@@ -270,6 +302,13 @@ def _control_chars(rng: random.Random, text: str) -> str:
     return text[:at] + rng.choice(["&#9;", "&#10;", "&#13;"]) + "z" + text[at:]
 
 
+def _xmlns_element(rng: random.Random, text: str) -> str:
+    """Put an element whose name has the reserved xmlns prefix, which no
+    declaration can bind, first into the math element."""
+    at = text.find(">") + 1
+    return text[:at] + rng.choice(["<xmlns:mi/>", "<xmlns:mi>x</xmlns:mi>"]) + text[at:]
+
+
 #: Text mutations for robustness tests, each ``(rng, text) -> text``.
 MUTATIONS = {
     "drop-namespace": lambda rng, text: strip_namespace(text),
@@ -289,6 +328,7 @@ MUTATIONS = {
     "external-doctype": _external_doctype,
     "entity-markup": _entity_markup,
     "control-chars": _control_chars,
+    "xmlns-element": _xmlns_element,
 }
 
 

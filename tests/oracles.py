@@ -2,8 +2,10 @@
 
 Deliberately naive: exhaustive recursion for tree edit distance, unit-mass
 expansion plus Hungarian assignment (and tiny brute force) for the earth
-mover's distance, and an ancestor-chain matcher for path selection.  None of
-them share code or algorithmic structure with the implementations under test.
+mover's distance, an ancestor-chain matcher for path selection, and plain
+recursive rebuilds, which copy every node, for canonicalization and cleaning.
+None of them share code or algorithmic structure with the implementations
+under test.
 """
 
 from __future__ import annotations
@@ -147,3 +149,64 @@ def count_identifiers(node) -> int:
     """Independent full-tree walk counting mi and ci elements."""
     total = 1 if node.name in ("mi", "ci") else 0
     return total + sum(count_identifiers(c) for c in node.children)
+
+
+def _semantics_position(node) -> int:
+    """Where canonical order puts ``node`` among the children of semantics:
+    presentation, content annotation-xml, other annotation-xml, annotation."""
+    if node.name == "annotation":
+        return 3
+    if node.name == "annotation-xml":
+        return 1 if node.attr("encoding") == "MathML-Content" else 2
+    return 0
+
+
+def canonicalize_reference(root):
+    """A copy of every node of ``root``'s tree, through its public
+    constructor: attributes sorted by key, and the children of every
+    semantics element stably sorted into canonical order."""
+    node_type = type(root)
+
+    def build(node):
+        children = [build(child) for child in node.children]
+        if node.name == "semantics":
+            children.sort(key=_semantics_position)
+        attributes = sorted(node.attributes, key=lambda pair: pair[0])
+        return node_type(node.name, tuple(attributes), node.text, tuple(children))
+
+    return build(root)
+
+
+def clean_reference(root, features):
+    """A copy of every kept node of ``root``'s tree, following ``clean``'s
+    docstring: id and xref attributes, MathML-Content annotation-xml
+    elements and annotation elements go anywhere; presentation children go
+    from a semantics child of the root, which is then unwrapped when one
+    branch alone remains, and removed when nothing does."""
+    node_type, features = type(root), set(features)
+
+    def build(node):
+        position = _semantics_position(node)
+        if ("annotations" in features and position == 3) or (
+                "content_branch" in features and position == 1):
+            return None
+        children = [kept for kept in map(build, node.children) if kept is not None]
+        attributes = [(key, value) for key, value in node.attributes
+                      if "cross_references" not in features or key not in ("id", "xref")]
+        return node_type(node.name, tuple(attributes), node.text, tuple(children))
+
+    copy = build(root)
+    top = []
+    for child in copy.children:
+        if child.name != "semantics":
+            top.append(child)
+            continue
+        kept = [grand for grand in child.children
+                if not ("presentation_branch" in features and _semantics_position(grand) == 0)]
+        if len(kept) == 1 and _semantics_position(kept[0]) == 0:
+            top.append(kept[0])
+        elif len(kept) == 1 and _semantics_position(kept[0]) == 1:
+            top.extend(kept[0].children)
+        elif kept:
+            top.append(node_type(child.name, child.attributes, child.text, tuple(kept)))
+    return node_type(copy.name, copy.attributes, copy.text, tuple(top))

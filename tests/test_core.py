@@ -302,6 +302,32 @@ class TestLenientRepairs:
         assert [r.kind for r in report.repairs] == [REPAIR_ENTITY_REPLACED]
         assert doc.root.children[0].attr("a") == "αf"
 
+    def test_undefined_entity_in_a_value_is_reported_where_it_stands(self):
+        # expat gives the place of the start tag; the message gives the entity's
+        text = f'<math xmlns="{NS}">\n  <mi a="x&bogus;">y</mi></math>'
+        for mode in ("lenient", "strict"):
+            with pytest.raises(MalformedInput, match=(
+                    r"^not well-formed XML: undefined entity: line 2, column 10$")):
+                mmlkit.parse(text, mode)
+        # after the repairs, in the original input; strict mode fails at &alpha;
+        text = '<math>\n  <mi a="é&alpha;&bogus;">y</mi></math>'
+        for mode, column in (("lenient", 17), ("strict", 10)):
+            with pytest.raises(MalformedInput, match=f"undefined entity: line 2, column {column}$"):
+                mmlkit.parse(text, mode)
+        # in character data expat's own place is the entity's
+        text = f'<math xmlns="{NS}">\n  <mi>x&b-gus;</mi></math>'
+        for mode in ("lenient", "strict"):
+            with pytest.raises(MalformedInput, match="undefined entity: line 2, column 7$"):
+                mmlkit.parse(text, mode)
+
+    def test_an_element_name_with_the_xmlns_prefix_is_rejected(self):
+        # no declaration binds the xmlns prefix, and the scan never drops it
+        text = f'<math xmlns="{NS}"><xmlns:foo/></math>'
+        for mode in ("lenient", "strict"):
+            with pytest.raises(MalformedInput) as info:
+                mmlkit.parse(text, mode)
+            assert str(info.value) == "undeclared namespace prefix 'xmlns' (strict mode)"
+
     @pytest.mark.parametrize("text", [
         f'<math xmlns="{NS}"><mi &p:a="1">x</mi></math>',
         f'<math xmlns="{NS}"><mi !p:a="1">x</mi></math>',
