@@ -61,6 +61,10 @@ _REPAIR_KINDS = (
 #: XML's predefined entities; these are left for the XML parser itself.
 _PREDEFINED_ENTITIES = {"amp", "lt", "gt", "quot", "apos"}
 
+#: The prefixes Namespaces in XML reserves, each with the one URI a
+#: declaration may bind it to (``xmlns`` may not be declared at all).
+_RESERVED_PREFIXES = {"xml": "http://www.w3.org/XML/1998/namespace", "xmlns": None}
+
 #: Content-markup element names, used to classify bare (semantics-less)
 #: documents into a presentation or content branch.
 CONTENT_ELEMENTS = frozenset("""
@@ -478,6 +482,11 @@ def _repair(text: str) -> tuple[str, list[Repair], list[tuple[int, int, int]]]:
     ancestors' ``xmlns:`` declarations, as in strict mode; an end tag in the
     scope of the element it closes.  Entities that a DOCTYPE's internal
     subset declares are left for the XML parser, as in strict mode.
+
+    Once rule 1 has run, the scan stops at the first token that starts past
+    the last ``:`` and ``&`` of ``text``: rules 2 and 3 need one of those
+    inside the token, so no later token is rewritten, and the rest of the
+    text is copied as it stands.
     """
     out: list[str] = []  # chunks of the repaired text
     marks: list[tuple[int, int, int]] = []
@@ -505,6 +514,7 @@ def _repair(text: str) -> tuple[str, list[Repair], list[tuple[int, int, int]]]:
         out.append(replacement)
         copied = end
 
+    last = max(text.rfind(":"), text.rfind("&"))
     for token in _TOKEN_RE.finditer(text):
         kind = token.lastgroup
         if kind is None:  # comment, CDATA section, processing instruction
@@ -513,6 +523,8 @@ def _repair(text: str) -> tuple[str, list[Repair], list[tuple[int, int, int]]]:
             declared.update(_ENTITY_DECLARATION_RE.findall(token.group(kind)))
             continue
         start, end = token.span()
+        if not need_math and start > last:  # no prefix or entity from here on
+            break
         if kind == "entity":  # rule 2 in character data
             refs = _char_refs(token.group(kind), declared)
             if refs is not None:
@@ -642,6 +654,9 @@ class _Builder:
         for key, value in zip(keys, attrs[1::2]):
             if key.startswith("xmlns:"):
                 prefix = key[6:]
+                if _RESERVED_PREFIXES.get(prefix, value) != value:
+                    self.violation = f"reserved prefix {prefix!r} bound to {value!r}"
+                    return scope
                 if value == MATHML_NS:
                     self.violation = (
                         f"prefix {prefix!r} bound to the MathML namespace (strict mode)"
@@ -684,8 +699,10 @@ def parse(text: str, mode: str = "lenient") -> tuple[MathDoc, ParseReport]:
     points, (3) drop namespace prefixes on MathML-namespace elements and
     attributes.  Strict mode rejects any input those rules would rewrite.
     Where the text declares an entity, whose expansion the repair scan cannot
-    see, or names an element with the reserved ``xmlns`` prefix, which the
-    scan keeps, lenient mode checks namespace prefixes as strict mode does.
+    see, names an element with the reserved ``xmlns`` prefix, which the scan
+    keeps, or declares a prefix that begins with ``xml``, lenient mode checks
+    namespace prefixes as strict mode does.  Both modes reject a declaration of the
+    ``xmlns`` prefix, and one that binds ``xml`` to any URI but its own.
     Both modes reject an undeclared entity that the XML parser would skip
     because the DOCTYPE names an external subset, which it does not read,
     and report an undefined entity in an attribute value at the entity.
@@ -703,10 +720,11 @@ def parse(text: str, mode: str = "lenient") -> tuple[MathDoc, ParseReport]:
     parser = xml.parsers.expat.ParserCreate()  # namespace processing off
     parser.ordered_attributes = True
     parser.buffer_text = True
-    # the scan neither sees what a declared entity expands to nor drops an
-    # element name's xmlns: prefix, so those texts get strict mode's checks
-    builder = _Builder(mode == "strict",
-                       mode == "strict" or "<!ENTITY" in text or "<xmlns:" in work)
+    # the scan neither sees what a declared entity expands to, nor drops an
+    # element name's xmlns: prefix, nor judges a declaration of a reserved
+    # prefix, so those texts get strict mode's checks
+    builder = _Builder(mode == "strict", mode == "strict" or "<!ENTITY" in text
+                       or "<xmlns:" in work or "xmlns:xml" in work)
     parser.StartElementHandler = builder.start
     parser.EndElementHandler = builder.end
     parser.CharacterDataHandler = builder.chars

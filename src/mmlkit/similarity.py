@@ -197,6 +197,12 @@ def tree_edit_distance(
     ``label_mode`` is ``"name"`` (labels are element names) or ``"name-text"``
     (leaf labels additionally carry the text content).  With unit costs this
     is a metric; rename cost 0 collapses relabelings.
+
+    Trees equal under the label mode give ``0.0`` before any table is
+    built: postorder labels and leftmost leaves fix a labeled ordered tree,
+    and with non-negative costs the identity mapping, which costs nothing,
+    is optimal.  Text and attributes outside the labels do not count, so
+    ``a == b`` is not the test.
     """
     if label_mode not in ("name", "name-text"):
         raise ValueError(f"unknown label mode {label_mode!r}")
@@ -204,6 +210,8 @@ def tree_edit_distance(
     intern: dict = {}
     labels_a, lml_a, keyroots_a = _flatten(a, label_mode, intern)
     labels_b, lml_b, keyroots_b = _flatten(b, label_mode, intern)
+    if labels_a == labels_b and lml_a == lml_b:
+        return 0.0
     insert, delete, rename = costs.insert, costs.delete, costs.rename
 
     # td[x][y] is the distance between the subtrees rooted at x and y.  For

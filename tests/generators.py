@@ -309,6 +309,17 @@ def _xmlns_element(rng: random.Random, text: str) -> str:
     return text[:at] + rng.choice(["<xmlns:mi/>", "<xmlns:mi>x</xmlns:mi>"]) + text[at:]
 
 
+#: The one URI a declaration may bind the reserved ``xml`` prefix to.
+XML_NS = "http://www.w3.org/XML/1998/namespace"
+
+
+def _reserved_prefix(rng: random.Random, text: str) -> str:
+    """Declare a reserved prefix on a random start tag: ``xmlns``, which no
+    declaration may name, or ``xml``, bound to its own URI or another."""
+    uri = rng.choice(["urn:x", XML_NS, MATHML_NS])
+    return _into_start_tag(rng, text, f' xmlns:{rng.choice(["xmlns", "xml"])}="{uri}"')
+
+
 #: Text mutations for robustness tests, each ``(rng, text) -> text``.
 MUTATIONS = {
     "drop-namespace": lambda rng, text: strip_namespace(text),
@@ -329,6 +340,7 @@ MUTATIONS = {
     "entity-markup": _entity_markup,
     "control-chars": _control_chars,
     "xmlns-element": _xmlns_element,
+    "reserved-prefix": _reserved_prefix,
 }
 
 

@@ -328,6 +328,34 @@ class TestLenientRepairs:
                 mmlkit.parse(text, mode)
             assert str(info.value) == "undeclared namespace prefix 'xmlns' (strict mode)"
 
+    @pytest.mark.parametrize("text, modes, message", [
+        (f'<math xmlns="{NS}" xmlns:xmlns="urn:x"><xmlns:foo/></math>', ("lenient", "strict"),
+         "reserved prefix 'xmlns' bound to 'urn:x'"),
+        (f'<math xmlns="{NS}"><mi xmlns:xml="urn:x">x</mi></math>', ("lenient", "strict"),
+         "reserved prefix 'xml' bound to 'urn:x'"),
+        # also after lenient repairs; strict mode fails at the MathML prefix
+        (f'<m:math xmlns:m="{NS}"><m:mi xmlns:xmlns="urn:x"/></m:math>', ("lenient",),
+         "reserved prefix 'xmlns' bound to 'urn:x'"),
+        # the key is spelled out only in the entity's expansion
+        (f'<!DOCTYPE math [<!ENTITY e "<mi xmlns&#58;xml=\'urn:x\'/>">]><math xmlns="{NS}">'
+         "&e;</math>", ("lenient", "strict"), "reserved prefix 'xml' bound to 'urn:x'"),
+    ])
+    def test_reserved_prefixes_are_not_declared(self, text, modes, message):
+        # Namespaces in XML: xmlns is never declared, and xml is bound to its own URI only
+        for mode in modes:
+            with pytest.raises(MalformedInput) as info:
+                mmlkit.parse(text, mode)
+            assert str(info.value) == message
+
+    def test_the_xml_prefix_may_be_bound_to_its_own_uri(self):
+        text = (f'<math xmlns="{NS}"><mi xmlns:xml="{generators.XML_NS}" xml:lang="en">'
+                "x</mi></math>")
+        for mode in ("lenient", "strict"):
+            doc, report = mmlkit.parse(text, mode)
+            assert report.repairs == ()
+            assert doc.node(1).attributes == (
+                ("xmlns:xml", generators.XML_NS), ("xml:lang", "en"))
+
     @pytest.mark.parametrize("text", [
         f'<math xmlns="{NS}"><mi &p:a="1">x</mi></math>',
         f'<math xmlns="{NS}"><mi !p:a="1">x</mi></math>',

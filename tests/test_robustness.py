@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mmlkit
-from mmlkit import MalformedInput, MathDoc, MmlError, cli
+from mmlkit import MalformedInput, MathDoc, MmlError, cli, core
 from mmlkit.convert import canonicalize
 from mmlkit.core import MAX_DEPTH
 
@@ -160,3 +160,12 @@ def test_parsed_documents_round_trip_through_strict_mode(seed, kinds, pretty):
         again, report = mmlkit.parse(mmlkit.serialize(doc, pretty=pretty), "strict")
         assert report.repairs == ()
         assert again == doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), kinds=mutation_lists)
+def test_the_repair_scan_stops_only_where_nothing_is_left_to_repair(seed, kinds):
+    # a ":" at the very end keeps the scan of the longer text from stopping early
+    text = mutated_text(seed, kinds)
+    repaired, repairs, marks = core._repair(text)
+    assert core._repair(text + "<!--:-->") == (repaired + "<!--:-->", repairs, marks)

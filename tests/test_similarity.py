@@ -1,7 +1,10 @@
 import math
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mmlkit
 from mmlkit import (
@@ -344,6 +347,58 @@ class TestTreeEditDistance:
                 CostConfig(insert=ins, delete=dele, rename=1.0),
             )
             assert actual <= bound + 1e-9
+
+
+def marked(node, mark):
+    """A copy of ``node`` with ``mark`` in every text and attribute value."""
+    return mmlkit.MathNode(node.name, (("class", mark),),
+                           None if node.text is None else node.text + mark,
+                           tuple(marked(child, mark) for child in node.children))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_trees_equal_under_the_label_mode_are_at_distance_zero(seed):
+    # every text and attribute differs, so only name mode sees equal trees
+    rng = random.Random(seed)
+    tree = generators.random_pres_tree(rng, rng.randint(0, 2))
+    a, b = marked(tree, "a"), marked(tree, "b")
+    assert a != b
+    for costs in (None, CostConfig(0.3, 1.7, 0.9)):
+        assert mmlkit.tree_edit_distance(a, b, costs) == 0.0
+        costs = costs or CostConfig()
+        expected = oracles.ted_reference(
+            oracles.as_label_tree(a, with_text=True), oracles.as_label_tree(b, with_text=True),
+            costs.insert, costs.delete, costs.rename)
+        actual = mmlkit.tree_edit_distance(a, b, costs, label_mode="name-text")
+        assert actual == pytest.approx(expected, abs=1e-9)
+
+
+def test_equal_postorder_labels_do_not_make_equal_trees():
+    # x(y(z)) and x(z, y) list z, y, x in postorder
+    z, y = mmlkit.MathNode("z"), mmlkit.MathNode("y")
+    a = mmlkit.MathNode("x", children=(mmlkit.MathNode("y", children=(z,)),))
+    b = mmlkit.MathNode("x", children=(z, y))
+    expected = oracles.ted_reference(oracles.as_label_tree(a), oracles.as_label_tree(b))
+    assert expected > 0
+    assert mmlkit.tree_edit_distance(a, b) == expected == mmlkit.tree_edit_distance(b, a)
+
+
+def test_trees_equal_under_the_label_mode_build_no_tables():
+    # 1,501 nodes: the two distance tables would take about 36 MB
+    terms = tuple(mmlkit.MathNode("msup", (), None, (
+        mmlkit.MathNode("mi", (), "x"), mmlkit.MathNode("mn", (), str(k)))) for k in range(500))
+    tree = mmlkit.MathNode("math", (), None, terms)
+    a, b = mmlkit.MathDoc(marked(tree, "a")), mmlkit.MathDoc(marked(tree, "b"))
+    assert len(a.nodes) == 1501 and a != b
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert mmlkit.tree_edit_distance(a, b) == 0.0
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 class TestGroundDistance:
