@@ -17,7 +17,7 @@ original input, also after a repair rewrote it.
 The XML parser's handlers build each element's :class:`MathNode` exactly
 once, when the element closes, through :func:`_node`, which skips the public
 constructor's checks; MathML namespace declarations are dropped and the
-strict-mode namespace checks run in that same pass.  Elements may nest at
+namespace checks of both modes run in that same pass.  Elements may nest at
 most :data:`MAX_DEPTH` levels deep (the math element is level 1); deeper input
 raises :class:`MalformedInput`.  The bound limits input only: ``==``,
 ``hash``, serialization, ``clean`` and ``canonicalize`` are iterative.
@@ -61,9 +61,15 @@ _REPAIR_KINDS = (
 #: XML's predefined entities; these are left for the XML parser itself.
 _PREDEFINED_ENTITIES = {"amp", "lt", "gt", "quot", "apos"}
 
-#: The prefixes Namespaces in XML reserves, each with the one URI a
-#: declaration may bind it to (``xmlns`` may not be declared at all).
-_RESERVED_PREFIXES = {"xml": "http://www.w3.org/XML/1998/namespace", "xmlns": None}
+#: The namespaces Namespaces in XML reserves for the ``xml`` and ``xmlns`` prefixes;
+#: no other prefix, and not the default namespace, may be bound to either.
+_XML_NS = "http://www.w3.org/XML/1998/namespace"
+_RESERVED_NAMESPACES = (_XML_NS, "http://www.w3.org/2000/xmlns/")
+#: The reserved prefixes, each with the one URI a declaration may bind it to
+#: (``xmlns`` may not be declared at all).
+_RESERVED_PREFIXES = {"xml": _XML_NS, "xmlns": None}
+#: The prefix scope of the math element's parent: ``xml`` needs no declaration.
+_XML_SCOPE = {"xml": _XML_NS}
 
 #: Content-markup element names, used to classify bare (semantics-less)
 #: documents into a presentation or content branch.
@@ -106,7 +112,11 @@ _TOKEN_RE = re.compile(
     rf"|<(?P<start>{_NAME_CHAR}*)(?:[^>\"']+|\"[^\"]*\"?|'[^']*'?)*>?",
     re.S,
 )
-_ENTITY_DECLARATION_RE = re.compile(r"<!ENTITY\s+([A-Za-z][A-Za-z0-9]*)\s")
+#: A general entity declaration, or a comment, processing instruction or
+#: literal of a DOCTYPE, where ``<!ENTITY`` declares nothing (group 1 empty).
+_ENTITY_DECLARATION_RE = re.compile(
+    r"<!--.*?(?:-->|\Z)|<\?.*?(?:\?>|\Z)|\"[^\"]*\"?|'[^']*'?"
+    r"|<!ENTITY\s+([A-Za-z][A-Za-z0-9]*)\s", re.S)
 _LINE_BREAK_RE = re.compile(r"\r\n?|\n")  # as expat counts lines
 _UNDEFINED_ENTITY = xml.parsers.expat.errors.codes[
     xml.parsers.expat.errors.XML_ERROR_UNDEFINED_ENTITY]
@@ -460,10 +470,11 @@ def _char_refs(name: str, declared: set[str]) -> Optional[str]:
     return expansion and "".join(f"&#{ord(c)};" for c in expansion)
 
 
-def _mathml_bound(prefix: str, scope: dict[str, bool]) -> bool:
-    """Whether ``prefix`` names MathML in ``scope``; undeclared ones are
-    taken as an elided MathML binding."""
-    return prefix != "xml" and prefix != "xmlns" and scope.get(prefix, True)
+def _mathml_bound(prefix: str, local: str, scope: dict[str, bool]) -> bool:
+    """Whether the prefix of the name ``prefix:local`` names MathML in
+    ``scope``; undeclared ones are taken as an elided MathML binding.  A
+    name with a second colon is no qualified name and keeps its prefix."""
+    return ":" not in local and prefix != "xml" and prefix != "xmlns" and scope.get(prefix, True)
 
 
 def _is_mathml(value: str) -> bool:
@@ -520,7 +531,7 @@ def _repair(text: str) -> tuple[str, list[Repair], list[tuple[int, int, int]]]:
         if kind is None:  # comment, CDATA section, processing instruction
             continue
         if kind == "declaration":
-            declared.update(_ENTITY_DECLARATION_RE.findall(token.group(kind)))
+            declared.update(filter(None, _ENTITY_DECLARATION_RE.findall(token.group(kind))))
             continue
         start, end = token.span()
         if not need_math and start > last:  # no prefix or entity from here on
@@ -564,7 +575,7 @@ def _repair(text: str) -> tuple[str, list[Repair], list[tuple[int, int, int]]]:
         # rule 3: drop namespace prefixes bound (or assumed bound) to MathML;
         # an end tag's repair counts only when it differs from its start tag
         prefix, colon, local = name.partition(":")
-        if colon and _mathml_bound(prefix, scope):
+        if colon and _mathml_bound(prefix, local, scope):
             at = start if opens or name != opened else None
             edits.append((name_pos, name_end, local, 2, at))
         for attr in attrs:
@@ -581,7 +592,7 @@ def _repair(text: str) -> tuple[str, list[Repair], list[tuple[int, int, int]]]:
                     edits.append((cut, attr.end(), "", 2, key_pos))
                 continue
             prefix, colon, local = key.partition(":")
-            if colon and _mathml_bound(prefix, scope):
+            if colon and _mathml_bound(prefix, local, scope):
                 edits.append((key_pos, key_pos + len(key), local, 2, key_pos))
 
         if text.find("&", start, end) >= 0:  # rule 2 inside the tag
@@ -616,65 +627,88 @@ def _original_index(marks: list[tuple[int, int, int]], index: int) -> int:
 # XML parsing
 # ---------------------------------------------------------------------------
 
+def _namespace_violation(name: str, keys: list[str], values: list[str],
+                         scope: dict[str, str], strict_root: bool) -> Optional[str]:
+    """The first rule of Namespaces in XML 1.0, or of MathML, that an element
+    breaks, or None.  ``scope`` maps each prefix in scope to its URI; the
+    element's own ``xmlns:`` declarations are added to it.  ``strict_root``
+    asks for the one strict-mode rule: the math element declares a default
+    namespace."""
+    if strict_root and "xmlns" not in keys:
+        return "math element lacks a namespace declaration (strict mode)"
+    for key, value in zip(keys, values):
+        if key == "xmlns":
+            if value in _RESERVED_NAMESPACES:
+                return f"reserved namespace {value!r} bound to the default namespace"
+            continue
+        if not key.startswith("xmlns:"):
+            continue
+        prefix = key[6:]
+        if _RESERVED_PREFIXES.get(prefix, value) != value:
+            return f"reserved prefix {prefix!r} bound to {value!r}"
+        if value == MATHML_NS:
+            return f"prefix {prefix!r} bound to the MathML namespace (strict mode)"
+        if not prefix or ":" in prefix:
+            return f"{key!r} is not a qualified name"
+        if prefix != "xml" and value in _RESERVED_NAMESPACES:
+            return f"reserved namespace {value!r} bound to prefix {prefix!r}"
+        if not value:
+            return f"empty namespace name for prefix {prefix!r}"
+        scope[prefix] = value
+    expanded: dict[tuple[str, str], str] = {}  # (URI, local part) -> attribute key
+    for at, qname in enumerate([name, *keys]):  # the element name, then the keys
+        if ":" not in qname or at and qname.startswith("xmlns:"):
+            continue
+        prefix, _, local = qname.partition(":")
+        if ":" in local or (not local and prefix in scope):
+            return f"{qname!r} is not a qualified name"
+        if prefix not in scope:
+            return f"undeclared namespace prefix {prefix!r} (strict mode)"
+        if at:
+            other = expanded.setdefault((scope[prefix], local), qname)
+            if other != qname:
+                return f"attributes {other!r} and {qname!r} have the same expanded name"
+    return None
+
+
 class _Builder:
     """Expat handlers that build each element's :class:`MathNode` once, when
     it closes.  MathML namespace declarations are dropped on the way (the
-    namespace is implicit in the model).  With ``check_prefixes`` the first
-    namespace violation in preorder (a math element that declares no default
-    namespace only if ``strict``) is recorded in ``violation`` rather than
-    raised, so that a later well-formedness error still takes precedence."""
+    namespace is implicit in the model).  The first namespace violation in
+    preorder (a math element that declares no default namespace only if
+    ``strict``) is recorded in ``violation`` rather than raised, so that a
+    later well-formedness error still takes precedence.  Both modes judge
+    namespaces alike: the lenient repair scan has already rewritten what it
+    repairs, and what it cannot see, such as an entity's expansion, is judged
+    here as in strict mode."""
 
-    def __init__(self, strict: bool, check_prefixes: bool):
+    def __init__(self, strict: bool):
         self._strict = strict
-        self._check_prefixes = check_prefixes
         self._stack: list[list] = []  # [name, attributes, text parts, children, prefix scope]
         self.root: Optional[MathNode] = None
         self.violation: Optional[str] = None
 
     def start(self, name, attrs):
-        if len(self._stack) >= MAX_DEPTH:
+        stack = self._stack
+        if len(stack) >= MAX_DEPTH:
             raise MalformedInput(f"elements nested deeper than {MAX_DEPTH} levels")
-        pairs = [
-            (key, value) for key, value in zip(attrs[0::2], attrs[1::2])
-            if value != MATHML_NS or not (key == "xmlns" or key.startswith("xmlns:"))
-        ]
-        scope = self._stack[-1][4] if self._stack else {}
-        if self._check_prefixes and self.violation is None:
-            scope = self._check_strict(name, attrs, scope)
-        self._stack.append([name, pairs, [], [], scope])
-
-    def _check_strict(self, name, attrs, env: dict) -> dict:
-        """Record the element's first strict-mode violation; return the
-        prefix scope its children see."""
-        keys = attrs[0::2]
-        if self._strict and not self._stack and "xmlns" not in keys:
-            self.violation = "math element lacks a namespace declaration (strict mode)"
-            return env
-        scope = env
-        for key, value in zip(keys, attrs[1::2]):
-            if key.startswith("xmlns:"):
-                prefix = key[6:]
-                if _RESERVED_PREFIXES.get(prefix, value) != value:
-                    self.violation = f"reserved prefix {prefix!r} bound to {value!r}"
-                    return scope
-                if value == MATHML_NS:
-                    self.violation = (
-                        f"prefix {prefix!r} bound to the MathML namespace (strict mode)"
-                    )
-                    return scope
-                if scope is env:
-                    scope = dict(env)
-                scope[prefix] = value
-        prefixes = [name.split(":", 1)[0]] if ":" in name and not name.startswith("xml:") else []
-        prefixes += [
-            key.split(":", 1)[0] for key in keys
-            if ":" in key and not key.startswith(("xmlns:", "xml:"))
-        ]
-        for prefix in prefixes:
-            if prefix not in scope:
-                self.violation = f"undeclared namespace prefix {prefix!r} (strict mode)"
-                break
-        return scope
+        keys, values = attrs[0::2], attrs[1::2]
+        scope = stack[-1][4] if stack else _XML_SCOPE
+        if stack and ":" not in name and "xmlns" not in keys and ":" not in "".join(keys):
+            # below the root, with no prefix and no declaration: nothing to
+            # judge or drop, and the children see the parent's scope
+            pairs = list(zip(keys, values))
+        else:
+            pairs = [
+                (key, value) for key, value in zip(keys, values)
+                if value != MATHML_NS or not (key == "xmlns" or key.startswith("xmlns:"))
+            ]
+            if self.violation is None:
+                if any(key.startswith("xmlns:") for key in keys):
+                    scope = dict(scope)
+                self.violation = _namespace_violation(
+                    name, keys, values, scope, self._strict and not stack)
+        stack.append([name, pairs, [], [], scope])
 
     def end(self, _name):
         name, pairs, text_parts, children, _ = self._stack.pop()
@@ -698,11 +732,9 @@ def parse(text: str, mode: str = "lenient") -> tuple[MathDoc, ParseReport]:
     declares none, (2) replace HTML5/MathML named entities with their code
     points, (3) drop namespace prefixes on MathML-namespace elements and
     attributes.  Strict mode rejects any input those rules would rewrite.
-    Where the text declares an entity, whose expansion the repair scan cannot
-    see, names an element with the reserved ``xmlns`` prefix, which the scan
-    keeps, or declares a prefix that begins with ``xml``, lenient mode checks
-    namespace prefixes as strict mode does.  Both modes reject a declaration of the
-    ``xmlns`` prefix, and one that binds ``xml`` to any URI but its own.
+    Both modes then judge namespaces alike, so what the scan cannot see or
+    does not repair, such as an entity's expansion or the reserved ``xmlns``
+    prefix, gets strict mode's message in lenient mode too.
     Both modes reject an undeclared entity that the XML parser would skip
     because the DOCTYPE names an external subset, which it does not read,
     and report an undefined entity in an attribute value at the entity.
@@ -720,11 +752,7 @@ def parse(text: str, mode: str = "lenient") -> tuple[MathDoc, ParseReport]:
     parser = xml.parsers.expat.ParserCreate()  # namespace processing off
     parser.ordered_attributes = True
     parser.buffer_text = True
-    # the scan neither sees what a declared entity expands to, nor drops an
-    # element name's xmlns: prefix, nor judges a declaration of a reserved
-    # prefix, so those texts get strict mode's checks
-    builder = _Builder(mode == "strict", mode == "strict" or "<!ENTITY" in text
-                       or "<xmlns:" in work or "xmlns:xml" in work)
+    builder = _Builder(mode == "strict")
     parser.StartElementHandler = builder.start
     parser.EndElementHandler = builder.end
     parser.CharacterDataHandler = builder.chars
@@ -736,42 +764,37 @@ def parse(text: str, mode: str = "lenient") -> tuple[MathDoc, ParseReport]:
 
     parser.EntityDeclHandler = entity
 
-    def where(at: int) -> str:  # ``at`` indexes the parsed text
+    def where(at: int) -> str:  # the one locator; ``at`` indexes the parsed text
         lines = _LINE_BREAK_RE.split(text[:_original_index(marks, at)])
         return f"line {len(lines)}, column {len(lines[-1])}"
 
     def index(byte_index: int) -> int:  # of expat's byte offset into the parsed text
         return len(work.encode("utf-8")[:byte_index].decode("utf-8"))
 
-    def position(byte_index: int, line: int, column: int) -> str:
-        if marks:  # expat's position in the repaired text, taken back to the input
-            return where(index(byte_index))
-        return f"line {line}, column {column}"
-
-    def undefined(tag: re.Match) -> Optional[re.Match]:
-        """The first entity reference in a start tag that is neither
-        predefined nor declared."""
-        return next((ref for ref in _ENTITY_RE.finditer(work, *tag.span())
+    def undefined(tags: Iterable[Optional[re.Match]]) -> Optional[re.Match]:
+        """The first entity reference in a start tag among ``tags`` that is
+        neither predefined nor declared."""
+        return next((ref for tag in tags if tag is not None and tag.lastgroup == "start"
+                     for ref in _ENTITY_RE.finditer(work, *tag.span())
                      if ref[1] not in declared), None)
 
     def skipped(name: str, _is_parameter_entity: bool) -> None:
         # expat skips, rather than rejects, an undeclared entity when the
         # DOCTYPE names an external subset, which it does not read
-        raise MalformedInput(f"undefined entity &{name};: " + position(
-            parser.CurrentByteIndex, parser.CurrentLineNumber, parser.CurrentColumnNumber))
+        raise MalformedInput(f"undefined entity &{name};: {where(index(parser.CurrentByteIndex))}")
 
     parser.SkippedEntityHandler = skipped
     try:
         parser.Parse(work, True)
     except xml.parsers.expat.ExpatError as exc:
-        at = position(parser.ErrorByteIndex, exc.lineno, exc.offset)
+        at = index(parser.ErrorByteIndex)
         if exc.code == _UNDEFINED_ENTITY:  # in a value, expat gives the tag's place
-            tag = _TOKEN_RE.match(work, index(parser.ErrorByteIndex))
-            ref = tag is not None and tag.lastgroup == "start" and undefined(tag)
+            ref = undefined([_TOKEN_RE.match(work, at)])
             if ref:
-                at = where(ref.start())
+                at = ref.start()
         raise MalformedInput(
-            f"not well-formed XML: {xml.parsers.expat.ErrorString(exc.code)}: {at}") from None
+            f"not well-formed XML: {xml.parsers.expat.ErrorString(exc.code)}: {where(at)}"
+        ) from None
     except UnicodeEncodeError as exc:  # a lone surrogate
         at = _original_index(marks, exc.start)
         exc = UnicodeEncodeError(exc.encoding, text, at, at + exc.end - exc.start, exc.reason)
@@ -779,10 +802,9 @@ def parse(text: str, mode: str = "lenient") -> tuple[MathDoc, ParseReport]:
     finally:
         parser.SkippedEntityHandler = None  # it refers back to the parser
     if "<!DOCTYPE" in work:  # only then may expat drop an undeclared entity from a value
-        for token in _TOKEN_RE.finditer(work):
-            ref = token.lastgroup == "start" and undefined(token)
-            if ref:
-                raise MalformedInput(f"undefined entity &{ref[1]};: " + where(ref.start()))
+        ref = undefined(_TOKEN_RE.finditer(work))
+        if ref:
+            raise MalformedInput(f"undefined entity &{ref[1]};: {where(ref.start())}")
     root = builder.root
     if root is None:
         raise MalformedInput("input contains no element")

@@ -320,6 +320,48 @@ def _reserved_prefix(rng: random.Random, text: str) -> str:
     return _into_start_tag(rng, text, f' xmlns:{rng.choice(["xmlns", "xml"])}="{uri}"')
 
 
+#: The namespace of ``xmlns`` declarations, which no declaration may bind.
+XMLNS_NS = "http://www.w3.org/2000/xmlns/"
+
+
+def _two_colons(rng: random.Random, text: str) -> str:
+    """Name an element or an attribute ``p:q:a``, with ``p`` declared on a
+    random start tag or not at all."""
+    if rng.random() < 0.5:
+        text = _into_start_tag(rng, text, f' xmlns:p="{rng.choice(["urn:p", MATHML_NS])}"')
+    if rng.random() < 0.5:
+        return _into_start_tag(rng, text, ' p:q:a="1"')
+    at = text.find(">") + 1
+    return text[:at] + rng.choice(["<p:q:mi/>", "<p:q:mi>x</p:q:mi>"]) + text[at:]
+
+
+def _reserved_namespace(rng: random.Random, text: str) -> str:
+    """Bind a prefix or the default namespace, on a random start tag, to a
+    reserved or an empty namespace name."""
+    key = rng.choice(["xmlns", "xmlns:p", "xmlns:xml"])
+    return _into_start_tag(rng, text, f' {key}="{rng.choice([XML_NS, XMLNS_NS, ""])}"')
+
+
+def _same_expanded_name(rng: random.Random, text: str) -> str:
+    """Bind two prefixes, on the math element, to one URI or to two, and
+    give a random start tag an attribute in each."""
+    math = re.search(r"<(?:\w+:)?math", text)
+    if math is not None:
+        uri = rng.choice(["urn:s", "urn:t"])
+        at = math.end()
+        text = text[:at] + f' xmlns:a="urn:s" xmlns:b="{uri}"' + text[at:]
+    return _into_start_tag(rng, text, ' a:x="1" b:x="2"')
+
+
+def _hidden_entity_declaration(rng: random.Random, text: str) -> str:
+    """Mention a declaration of alpha in a DOCTYPE only inside a comment,
+    an entity value or a processing instruction, and use named entities."""
+    hidden = rng.choice(['<!-- <!ENTITY alpha "a"> -->', "<!ENTITY e \"<!ENTITY alpha 'a'>\">",
+                         "<?pi <!ENTITY alpha 'a'>?>"])
+    text, _ = encode_entities(text)
+    return f"<!DOCTYPE math [{hidden}]>" + text
+
+
 #: Text mutations for robustness tests, each ``(rng, text) -> text``.
 MUTATIONS = {
     "drop-namespace": lambda rng, text: strip_namespace(text),
@@ -341,6 +383,10 @@ MUTATIONS = {
     "control-chars": _control_chars,
     "xmlns-element": _xmlns_element,
     "reserved-prefix": _reserved_prefix,
+    "two-colons": _two_colons,
+    "reserved-namespace": _reserved_namespace,
+    "same-expanded-name": _same_expanded_name,
+    "hidden-entity-declaration": _hidden_entity_declaration,
 }
 
 

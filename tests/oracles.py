@@ -2,10 +2,10 @@
 
 Deliberately naive: exhaustive recursion for tree edit distance, unit-mass
 expansion plus Hungarian assignment (and tiny brute force) for the earth
-mover's distance, an ancestor-chain matcher for path selection, and plain
-recursive rebuilds, which copy every node, for canonicalization and cleaning.
-None of them share code or algorithmic structure with the implementations
-under test.
+mover's distance, an ancestor-chain matcher for path selection, plain
+recursive rebuilds, which copy every node, for canonicalization and cleaning,
+and ``xml.dom.minidom`` for namespace well-formedness.  None of them share
+code or algorithmic structure with the implementations under test.
 """
 
 from __future__ import annotations
@@ -13,6 +13,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+
+import xml.dom.minidom
+import xml.parsers.expat
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -210,3 +213,15 @@ def clean_reference(root, features):
         elif kept:
             top.append(node_type(child.name, child.attributes, child.text, tuple(kept)))
     return node_type(copy.name, copy.attributes, copy.text, tuple(top))
+
+
+def namespace_well_formed(text: str) -> bool:
+    """Whether ``text`` is a well-formed document under Namespaces in XML
+    1.0, as ``xml.dom.minidom`` judges it: its builder runs expat with
+    namespace processing on, which the library never does.  It knows no
+    MathML rule."""
+    try:
+        xml.dom.minidom.parseString(text)
+    except (xml.parsers.expat.ExpatError, UnicodeEncodeError):
+        return False
+    return True

@@ -356,6 +356,68 @@ class TestLenientRepairs:
             assert doc.node(1).attributes == (
                 ("xmlns:xml", generators.XML_NS), ("xml:lang", "en"))
 
+    @pytest.mark.parametrize("text, message", [
+        # Namespaces in XML 1.0, section 7: a name has at most one colon,
+        # whether or not its prefix is declared, and a declared prefix
+        # comes with a local part
+        (f'<math xmlns="{NS}"><a:b:c/></math>', "'a:b:c' is not a qualified name"),
+        (f'<math xmlns="{NS}"><mi a:b:c="1">x</mi></math>',
+         "'a:b:c' is not a qualified name"),
+        (f'<math xmlns="{NS}" xmlns:a="urn:a"><a:b:c/></math>',
+         "'a:b:c' is not a qualified name"),
+        (f'<math xmlns="{NS}"><mi xml:a:b="1">x</mi></math>',
+         "'xml:a:b' is not a qualified name"),
+        (f'<math xmlns="{NS}" xmlns:mi="urn:a"><mi:/></math>',
+         "'mi:' is not a qualified name"),
+        (f'<math xmlns="{NS}"><mi xmlns:a:b="urn:a">x</mi></math>',
+         "'xmlns:a:b' is not a qualified name"),
+        (f'<math xmlns="{NS}"><mi xmlns:="urn:a">x</mi></math>',
+         "'xmlns:' is not a qualified name"),
+        # section 3: no prefix is undeclared, only xml is bound to the XML
+        # namespace, and nothing to the xmlns namespace
+        (f'<math xmlns="{NS}"><mi xmlns:a="">x</mi></math>',
+         "empty namespace name for prefix 'a'"),
+        (f'<math xmlns="{NS}"><mi xmlns:p="{generators.XML_NS}">x</mi></math>',
+         f"reserved namespace '{generators.XML_NS}' bound to prefix 'p'"),
+        (f'<math xmlns="{NS}"><mi xmlns:p="{generators.XMLNS_NS}">x</mi></math>',
+         f"reserved namespace '{generators.XMLNS_NS}' bound to prefix 'p'"),
+        (f'<math xmlns="{NS}"><mi xmlns="{generators.XML_NS}">x</mi></math>',
+         f"reserved namespace '{generators.XML_NS}' bound to the default namespace"),
+        (f'<math xmlns="{NS}"><mi xmlns="{generators.XMLNS_NS}">x</mi></math>',
+         f"reserved namespace '{generators.XMLNS_NS}' bound to the default namespace"),
+        # section 6.3: no two attributes have one expanded name
+        (f'<math xmlns="{NS}" xmlns:a="urn:s"><mi xmlns:b="urn:s" a:x="1" b:x="2">x</mi></math>',
+         "attributes 'a:x' and 'b:x' have the same expanded name"),
+    ])
+    def test_namespaces_in_xml_is_judged_alike_in_both_modes(self, text, message):
+        for mode in ("lenient", "strict"):
+            with pytest.raises(MalformedInput) as info:
+                mmlkit.parse(text, mode)
+            assert str(info.value) == message
+        assert not oracles.namespace_well_formed(text)
+
+    def test_distinct_expanded_names_and_an_empty_default_namespace_parse(self):
+        text = (f'<math xmlns="{NS}" xmlns:a="urn:s" xmlns:b="urn:t">'
+                '<mi a:x="1" b:x="2" xmlns="">x</mi></math>')
+        assert oracles.namespace_well_formed(text)
+        for mode in ("lenient", "strict"):
+            doc, report = mmlkit.parse(text, mode)
+            assert report.repairs == ()
+            assert doc.node(1).attributes == (("a:x", "1"), ("b:x", "2"), ("xmlns", ""))
+
+    @pytest.mark.parametrize("subset", [
+        '<!-- <!ENTITY alpha "a"> -->',
+        "<!ENTITY e \"<!ENTITY alpha 'a'>\">",
+        "<?pi <!ENTITY alpha 'a'>?>",
+    ])
+    def test_an_entity_declaration_inside_a_comment_or_literal_declares_nothing(self, subset):
+        text = f'<!DOCTYPE math [{subset}]><math xmlns="{NS}"><mi>&alpha;</mi></math>'
+        with pytest.raises(MalformedInput, match="undefined entity: "):
+            mmlkit.parse(text, "strict")
+        doc, report = mmlkit.parse(text)
+        assert report.repairs == (Repair(REPAIR_ENTITY_REPLACED, text.index("&alpha;")),)
+        assert doc.root.children[0].text == "α"
+
     @pytest.mark.parametrize("text", [
         f'<math xmlns="{NS}"><mi &p:a="1">x</mi></math>',
         f'<math xmlns="{NS}"><mi !p:a="1">x</mi></math>',

@@ -1,6 +1,7 @@
 """Inputs at the edges: nesting depth, non-UTF-8 files, mutated documents."""
 
 import random
+import xml.parsers.expat
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from mmlkit.convert import canonicalize
 from mmlkit.core import MAX_DEPTH
 
 import generators
+import oracles
 
 NS = mmlkit.MATHML_NS
 
@@ -169,3 +171,43 @@ def test_the_repair_scan_stops_only_where_nothing_is_left_to_repair(seed, kinds)
     text = mutated_text(seed, kinds)
     repaired, repairs, marks = core._repair(text)
     assert core._repair(text + "<!--:-->") == (repaired + "<!--:-->", repairs, marks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), kinds=mutation_lists)
+def test_strict_mode_accepts_only_namespace_well_formed_xml(seed, kinds):
+    text = mutated_text(seed, kinds)
+    try:
+        mmlkit.parse(text, "strict")
+    except MmlError:
+        return
+    assert oracles.namespace_well_formed(text)
+
+
+UNDEFINED_ENTITY = xml.parsers.expat.errors.codes[
+    xml.parsers.expat.errors.XML_ERROR_UNDEFINED_ENTITY]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), kinds=mutation_lists)
+def test_error_positions_in_unrepaired_input_are_expats(seed, kinds):
+    text = mutated_text(seed, kinds)
+    if core._repair(text)[0] != text:
+        return
+    try:
+        mmlkit.parse(text)
+    except MalformedInput as exc:
+        message = str(exc)
+    else:
+        return
+    if not message.startswith("not well-formed XML: "):
+        return
+    parser = xml.parsers.expat.ParserCreate()
+    with pytest.raises(xml.parsers.expat.ExpatError) as info:
+        parser.Parse(text, True)
+    error = info.value
+    at = len(text.encode("utf-8")[:parser.ErrorByteIndex].decode("utf-8"))
+    if error.code == UNDEFINED_ENTITY and text.startswith("<", at):
+        return  # in a value, expat gives the tag's place and parse the entity's
+    assert message == (f"not well-formed XML: {xml.parsers.expat.ErrorString(error.code)}: "
+                       f"line {error.lineno}, column {error.offset}")
