@@ -22,13 +22,15 @@ most :data:`MAX_DEPTH` levels deep (the math element is level 1); deeper input
 raises :class:`MalformedInput`.  The bound limits input only: ``==``,
 ``hash``, serialization, ``clean`` and ``canonicalize`` are iterative.
 
-:class:`MathDoc` enumerates the tree once, in preorder, and keeps each node's
-parent and subtree size: a node's subtree, and each branch, is one contiguous
-slice of ``doc.nodes``.  A node object may occur at several places in a
-hand-built tree; each occurrence has its own handle, and
-:meth:`MathDoc.handle` returns the first of them in preorder.  ``clean`` and
-``canonicalize`` copy only the nodes on a path from a change to the root, so
-their results share unchanged subtrees, node objects, with their input.
+:class:`MathDoc` keeps the tree's nodes in preorder, with each node's parent
+and subtree size: a node's subtree, and each branch, is one contiguous slice
+of ``doc.nodes``.  ``parse``'s handlers write this index as they build the
+tree; :func:`_preorder` writes it in one walk for any other tree, hand-built
+or rebuilt.  A node object may occur at several places in a hand-built tree;
+each occurrence has its own handle, and :meth:`MathDoc.handle` returns the
+first of them in preorder.  ``clean`` and ``canonicalize`` copy only the
+nodes on a path from a change to the root, so their results share unchanged
+subtrees, node objects, with their input.
 """
 
 from __future__ import annotations
@@ -117,6 +119,9 @@ _TOKEN_RE = re.compile(
 _ENTITY_DECLARATION_RE = re.compile(
     r"<!--.*?(?:-->|\Z)|<\?.*?(?:\?>|\Z)|\"[^\"]*\"?|'[^']*'?"
     r"|<!ENTITY\s+([A-Za-z][A-Za-z0-9]*)\s", re.S)
+#: Text up to the last ``:`` or the last ``&`` that may start a repair: a
+#: character reference or predefined entity is never rewritten.
+_LAST_REPAIRABLE_RE = re.compile(r".*(?::|&(?!#|(?:amp|lt|gt|quot|apos);))", re.S)
 _LINE_BREAK_RE = re.compile(r"\r\n?|\n")  # as expat counts lines
 _UNDEFINED_ENTITY = xml.parsers.expat.errors.codes[
     xml.parsers.expat.errors.XML_ERROR_UNDEFINED_ENTITY]
@@ -300,13 +305,15 @@ class MathDoc:
 
     Node handles are stable indices into the document's preorder enumeration
     (the math element itself is handle 0).  Instances are immutable; every
-    mutating operation in this module returns a new document.
+    mutating operation in this module returns a new document.  ``_index``,
+    for ``parse`` only, is the preorder nodes, parent handles and subtree
+    sizes of ``root``'s tree, as :func:`_preorder` would give them.
     """
 
-    def __init__(self, root: MathNode):
+    def __init__(self, root: MathNode, *, _index: Optional[tuple[tuple, tuple, tuple]] = None):
         if root.name != "math":
             raise MalformedInput("document root must be a math element")
-        self._nodes, self._parents, self._sizes = _preorder(root)
+        self._nodes, self._parents, self._sizes = _index or _preorder(root)
         ids: dict[str, int] = {}
         for handle, node in enumerate(self._nodes):
             id_value = node.attr("id")
@@ -473,8 +480,10 @@ def _char_refs(name: str, declared: set[str]) -> Optional[str]:
 def _mathml_bound(prefix: str, local: str, scope: dict[str, bool]) -> bool:
     """Whether the prefix of the name ``prefix:local`` names MathML in
     ``scope``; undeclared ones are taken as an elided MathML binding.  A
-    name with a second colon is no qualified name and keeps its prefix."""
-    return ":" not in local and prefix != "xml" and prefix != "xmlns" and scope.get(prefix, True)
+    name with an empty local part or a second colon is no qualified name
+    and keeps its prefix."""
+    return (local != "" and ":" not in local and prefix != "xml" and prefix != "xmlns"
+            and scope.get(prefix, True))
 
 
 def _is_mathml(value: str) -> bool:
@@ -495,9 +504,10 @@ def _repair(text: str) -> tuple[str, list[Repair], list[tuple[int, int, int]]]:
     subset declares are left for the XML parser, as in strict mode.
 
     Once rule 1 has run, the scan stops at the first token that starts past
-    the last ``:`` and ``&`` of ``text``: rules 2 and 3 need one of those
-    inside the token, so no later token is rewritten, and the rest of the
-    text is copied as it stands.
+    the last ``:`` and the last ``&`` that can start a repair, which excludes
+    character references and the predefined entities: rules 2 and 3 need one
+    of those inside the token, so no later token is rewritten, and the rest
+    of the text is copied as it stands.
     """
     out: list[str] = []  # chunks of the repaired text
     marks: list[tuple[int, int, int]] = []
@@ -525,7 +535,8 @@ def _repair(text: str) -> tuple[str, list[Repair], list[tuple[int, int, int]]]:
         out.append(replacement)
         copied = end
 
-    last = max(text.rfind(":"), text.rfind("&"))
+    tail = _LAST_REPAIRABLE_RE.match(text)
+    last = tail.end() - 1 if tail else -1
     for token in _TOKEN_RE.finditer(text):
         kind = token.lastgroup
         if kind is None:  # comment, CDATA section, processing instruction
@@ -647,7 +658,7 @@ def _namespace_violation(name: str, keys: list[str], values: list[str],
         if _RESERVED_PREFIXES.get(prefix, value) != value:
             return f"reserved prefix {prefix!r} bound to {value!r}"
         if value == MATHML_NS:
-            return f"prefix {prefix!r} bound to the MathML namespace (strict mode)"
+            return f"prefix {prefix!r} bound to the MathML namespace"
         if not prefix or ":" in prefix:
             return f"{key!r} is not a qualified name"
         if prefix != "xml" and value in _RESERVED_NAMESPACES:
@@ -663,7 +674,7 @@ def _namespace_violation(name: str, keys: list[str], values: list[str],
         if ":" in local or (not local and prefix in scope):
             return f"{qname!r} is not a qualified name"
         if prefix not in scope:
-            return f"undeclared namespace prefix {prefix!r} (strict mode)"
+            return f"undeclared namespace prefix {prefix!r}"
         if at:
             other = expanded.setdefault((scope[prefix], local), qname)
             if other != qname:
@@ -673,7 +684,10 @@ def _namespace_violation(name: str, keys: list[str], values: list[str],
 
 class _Builder:
     """Expat handlers that build each element's :class:`MathNode` once, when
-    it closes.  MathML namespace declarations are dropped on the way (the
+    it closes, and write the preorder index as they go: an element's handle
+    is the number of elements opened before it, and ``nodes``, ``parents``
+    and ``sizes`` are :func:`_preorder`'s three sequences once the root has
+    closed.  MathML namespace declarations are dropped on the way (the
     namespace is implicit in the model).  The first namespace violation in
     preorder (a math element that declares no default namespace only if
     ``strict``) is recorded in ``violation`` rather than raised, so that a
@@ -684,8 +698,11 @@ class _Builder:
 
     def __init__(self, strict: bool):
         self._strict = strict
-        self._stack: list[list] = []  # [name, attributes, text parts, children, prefix scope]
-        self.root: Optional[MathNode] = None
+        # per open element: [name, attributes, text parts, children, prefix scope, handle]
+        self._stack: list[list] = []
+        self.nodes: list[Optional[MathNode]] = []  # None until the element closes
+        self.parents: list[Optional[int]] = []
+        self.sizes: list[int] = []
         self.violation: Optional[str] = None
 
     def start(self, name, attrs):
@@ -708,16 +725,22 @@ class _Builder:
                     scope = dict(scope)
                 self.violation = _namespace_violation(
                     name, keys, values, scope, self._strict and not stack)
-        stack.append([name, pairs, [], [], scope])
+        nodes = self.nodes
+        handle = len(nodes)
+        self.parents.append(stack[-1][5] if stack else None)
+        nodes.append(None)
+        self.sizes.append(1)
+        stack.append([name, pairs, [], [], scope, handle])
 
     def end(self, _name):
-        name, pairs, text_parts, children, _ = self._stack.pop()
+        name, pairs, text_parts, children, _, handle = self._stack.pop()
         text = "".join(text_parts).strip(" \t\r\n")
         node = _node(name, tuple(pairs), text or None, tuple(children))
+        nodes = self.nodes
+        nodes[handle] = node
+        self.sizes[handle] = len(nodes) - handle
         if self._stack:
             self._stack[-1][3].append(node)
-        else:
-            self.root = node
 
     def chars(self, data):
         if self._stack:
@@ -805,9 +828,9 @@ def parse(text: str, mode: str = "lenient") -> tuple[MathDoc, ParseReport]:
         ref = undefined(_TOKEN_RE.finditer(work))
         if ref:
             raise MalformedInput(f"undefined entity &{ref[1]};: {where(ref.start())}")
-    root = builder.root
-    if root is None:
+    if not builder.nodes:
         raise MalformedInput("input contains no element")
+    root = builder.nodes[0]
     if root.name != "math":
         raise MalformedInput(
             f"input does not contain a math root element (found {root.name!r})"
@@ -816,7 +839,8 @@ def parse(text: str, mode: str = "lenient") -> tuple[MathDoc, ParseReport]:
         raise MalformedInput(builder.violation)
     if root.has_attr("xmlns"):  # MathML declarations were dropped while building
         raise MalformedInput(f"math element declares a foreign namespace {root.attr('xmlns')!r}")
-    doc = MathDoc(root)
+    doc = MathDoc(root, _index=(tuple(builder.nodes), tuple(builder.parents),
+                                tuple(builder.sizes)))
     report = ParseReport(repairs=tuple(repairs), dangling_xrefs=doc.dangling_xrefs)
     return doc, report
 

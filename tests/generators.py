@@ -362,6 +362,16 @@ def _hidden_entity_declaration(rng: random.Random, text: str) -> str:
     return f"<!DOCTYPE math [{hidden}]>" + text
 
 
+def _predefined_refs(rng: random.Random, text: str) -> str:
+    """Write references that the repair scan never rewrites, predefined
+    entities and character references, into some of the last three pieces
+    of character data and attribute values that declare no namespace."""
+    spots = [match.end() for match in re.finditer(r'\s(?!xmlns)[^\s=]+="|>(?=[^<\s])', text)]
+    for at in sorted(rng.sample(spots[-3:], min(len(spots), rng.randint(1, 3))), reverse=True):
+        text = text[:at] + rng.choice(["&lt;", "&amp;", "&#60;", "&#x26;"]) + text[at:]
+    return text
+
+
 #: Text mutations for robustness tests, each ``(rng, text) -> text``.
 MUTATIONS = {
     "drop-namespace": lambda rng, text: strip_namespace(text),
@@ -387,6 +397,7 @@ MUTATIONS = {
     "reserved-namespace": _reserved_namespace,
     "same-expanded-name": _same_expanded_name,
     "hidden-entity-declaration": _hidden_entity_declaration,
+    "predefined-refs": _predefined_refs,
 }
 
 

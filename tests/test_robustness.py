@@ -2,6 +2,7 @@
 
 import random
 import xml.parsers.expat
+from operator import is_
 
 import pytest
 from hypothesis import given, settings
@@ -162,6 +163,25 @@ def test_parsed_documents_round_trip_through_strict_mode(seed, kinds, pretty):
         again, report = mmlkit.parse(mmlkit.serialize(doc, pretty=pretty), "strict")
         assert report.repairs == ()
         assert again == doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), kinds=mutation_lists)
+def test_the_parser_writes_the_index_a_walk_of_its_tree_gives(seed, kinds):
+    text = mutated_text(seed, kinds)
+    for mode in ("lenient", "strict"):
+        try:
+            doc, _ = mmlkit.parse(text, mode)
+        except MmlError:
+            continue
+        walked = MathDoc(doc.root)
+        assert len(walked.nodes) == len(doc.nodes) and all(map(is_, walked.nodes, doc.nodes))
+        assert walked._parents == doc._parents
+        assert walked._sizes == doc._sizes
+        assert walked.xref_map == doc.xref_map
+        assert walked.dangling_xrefs == doc.dangling_xrefs
+        assert walked.presentation_root == doc.presentation_root
+        assert walked.content_root == doc.content_root
 
 
 @settings(max_examples=300, deadline=None)
