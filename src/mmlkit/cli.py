@@ -33,7 +33,8 @@ _HISTOGRAM_MEASURES = {
 
 
 class _Exit(Exception):
-    """Raised with the exit status and the text argparse would print."""
+    """Raised with an exit status and the text for stderr: where argparse
+    would print and exit, and where a command finds a usage error."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -268,7 +269,7 @@ def _cmd_dist(args, out):
                                               label_mode=args.label_mode)
     else:
         if args.costs is not None:
-            raise _UsageError("--costs only applies to --measure ted")
+            raise _Exit(2, "mml dist: error: --costs only applies to --measure ted\n")
         value = _HISTOGRAM_MEASURES[args.measure](
             similarity.histogram(doc_a, args.scope, args.include_structural),
             similarity.histogram(doc_b, args.scope, args.include_structural))
@@ -297,7 +298,7 @@ def _cmd_convert(args, out):
     elif args.inputs is not None:
         tex = _read_input(args.inputs)
     else:
-        raise _UsageError("convert needs --tex or an input file")
+        raise _Exit(2, "mml convert: error: convert needs --tex or an input file\n")
     result = run_converter(args.name, tex, registry)
     out.write(core.serialize(result.mathml, pretty=args.pretty) + "\n")
     return 0
@@ -328,25 +329,17 @@ _COMMANDS = {
 }
 
 
-class _UsageError(Exception):
-    pass
-
-
 def run(argv, stdout: Optional[TextIO] = None, stderr: Optional[TextIO] = None) -> int:
     """Run the CLI on an argument vector; returns the exit code."""
     out = stdout or sys.stdout
     err = stderr or sys.stderr
     try:
         args = _build_parser().parse_args(argv)
+        return _COMMANDS[args.command](args, out)
     except _Exit as exc:
         status, text = exc.args
         err.write(text)
         return status
-    try:
-        return _COMMANDS[args.command](args, out)
-    except _UsageError as exc:
-        err.write(f"mml {args.command}: error: {exc}\n")
-        return 2
     except (MmlError, OSError) as exc:
         err.write(f"mml {args.command}: error: {exc}\n")
         return 1

@@ -7,20 +7,20 @@ id/xref cross-references.  Everything is immutable; operations that "modify"
 a document return a new one, so documents can be shared freely across threads.
 
 Parsing is fault tolerant on demand: lenient mode first repairs the raw text
-(namespace injection, named-entity replacement, namespace-prefix dropping) in
-one forward scan and records every repair.  The scan skips comments, CDATA,
-processing instructions and declarations, and judges a prefix in the scope of
-the ``xmlns:`` declarations on the element and its open ancestors, as strict
-mode does.  Errors from the XML parser give line, column and position in the
-original input, also after a repair rewrote it.
+(a missing MathML namespace, named-entity replacement, namespace-prefix
+dropping) in one forward scan and records every repair.  The scan skips
+comments, CDATA, processing instructions and declarations, and judges a prefix
+in the scope of the ``xmlns:`` declarations on the element and its open
+ancestors, as strict mode does.  Errors from the XML parser give line, column
+and position in the original input, also after a repair rewrote it.
 
 The XML parser's handlers build each element's :class:`MathNode` exactly
 once, when the element closes, through :func:`_node`, which skips the public
-constructor's checks; MathML namespace declarations are dropped and the
-namespace checks of both modes run in that same pass.  Elements may nest at
-most :data:`MAX_DEPTH` levels deep (the math element is level 1); deeper input
-raises :class:`MalformedInput`.  The bound limits input only: ``==``,
-``hash``, serialization, ``clean`` and ``canonicalize`` are iterative.
+constructor's checks; the MathML default namespace declaration is dropped
+and the namespace checks of both modes run in that same pass.  Elements may
+nest at most :data:`MAX_DEPTH` levels deep (the math element is level 1);
+deeper input raises :class:`MalformedInput`.  The bound limits input only:
+``==``, ``hash``, serialization, ``clean`` and ``canonicalize`` are iterative.
 
 :class:`MathDoc` keeps the tree's nodes in preorder, with each node's parent
 and subtree size: a node's subtree, and each branch, is one contiguous slice
@@ -574,12 +574,12 @@ def _repair(text: str) -> tuple[str, list[Repair], list[tuple[int, int, int]]]:
                     scope = {**scope, **own}
             if not text.endswith("/>", start, end):
                 stack.append((name, scope))
-            # rule 1: inject the MathML namespace when the math element
-            # declares no default namespace and binds no prefix to MathML
+            # rule 1: the math element declares no default namespace and binds no
+            # prefix to MathML; the builder would drop a declaration, so add none
             if is_math:
                 need_math = False
                 if all(attr["key"] != "xmlns" for attr in attrs) and True not in own.values():
-                    edits.append((name_end, name_end, f' xmlns="{MATHML_NS}"', 0, start))
+                    edits.append((name_end, name_end, "", 0, start))
         else:
             opened, scope = stack.pop() if stack else (None, {})
 
@@ -687,8 +687,8 @@ class _Builder:
     it closes, and write the preorder index as they go: an element's handle
     is the number of elements opened before it, and ``nodes``, ``parents``
     and ``sizes`` are :func:`_preorder`'s three sequences once the root has
-    closed.  MathML namespace declarations are dropped on the way (the
-    namespace is implicit in the model).  The first namespace violation in
+    closed.  The MathML default namespace declaration is dropped on the way
+    (the namespace is implicit in the model).  The first namespace violation in
     preorder (a math element that declares no default namespace only if
     ``strict``) is recorded in ``violation`` rather than raised, so that a
     later well-formedness error still takes precedence.  Both modes judge
@@ -716,10 +716,7 @@ class _Builder:
             # judge or drop, and the children see the parent's scope
             pairs = list(zip(keys, values))
         else:
-            pairs = [
-                (key, value) for key, value in zip(keys, values)
-                if value != MATHML_NS or not (key == "xmlns" or key.startswith("xmlns:"))
-            ]
+            pairs = [pair for pair in zip(keys, values) if pair != ("xmlns", MATHML_NS)]
             if self.violation is None:
                 if any(key.startswith("xmlns:") for key in keys):
                     scope = dict(scope)
@@ -751,10 +748,11 @@ def parse(text: str, mode: str = "lenient") -> tuple[MathDoc, ParseReport]:
     """Parse UTF-8 MathML text into a (MathDoc, ParseReport) pair.
 
     ``mode`` is ``"strict"`` or ``"lenient"``.  Lenient mode first runs the
-    repair pipeline: (1) inject the MathML namespace if the math element
-    declares none, (2) replace HTML5/MathML named entities with their code
-    points, (3) drop namespace prefixes on MathML-namespace elements and
-    attributes.  Strict mode rejects any input those rules would rewrite.
+    repair pipeline: (1) take the math element as MathML if it declares no
+    namespace (a repair that leaves the text as it is), (2) replace
+    HTML5/MathML named entities with their code points, (3) drop namespace
+    prefixes on MathML-namespace elements and attributes.  Strict mode
+    rejects any input those rules would rewrite.
     Both modes then judge namespaces alike, so what the scan cannot see or
     does not repair, such as an entity's expansion or the reserved ``xmlns``
     prefix, gets strict mode's message in lenient mode too.
@@ -828,8 +826,6 @@ def parse(text: str, mode: str = "lenient") -> tuple[MathDoc, ParseReport]:
         ref = undefined(_TOKEN_RE.finditer(work))
         if ref:
             raise MalformedInput(f"undefined entity &{ref[1]};: {where(ref.start())}")
-    if not builder.nodes:
-        raise MalformedInput("input contains no element")
     root = builder.nodes[0]
     if root.name != "math":
         raise MalformedInput(
@@ -863,20 +859,17 @@ def _escape(value: str, specials: re.Pattern = _TEXT_SPECIALS) -> str:
     return specials.sub(lambda match: _ESCAPES[match[0]], value)
 
 
-def _emit(nodes: tuple[MathNode, ...], sizes: tuple[int, ...], pretty: bool,
-          extra_attrs: tuple[tuple[str, str], ...] = ()) -> str:
+def _emit(nodes: tuple[MathNode, ...], sizes: tuple[int, ...], pretty: bool) -> str:
     """XML for a tree given by preorder nodes and subtree sizes (as from
-    :func:`_preorder`); ``extra_attrs`` go first on the root."""
+    :func:`_preorder`)."""
     out: list[str] = []
     stack: list[tuple[int, str]] = []  # (end of subtree, end tag) per open ancestor
-    extra = extra_attrs
     for handle, node in enumerate(nodes):
         name, text = node.name, node.text
         indent = "  " * len(stack) if pretty else ""
         attrs = "".join(
-            f' {key}="{_escape(value, _ATTR_SPECIALS)}"' for key, value in extra + node.attributes
-        ) if extra or node.attributes else ""
-        extra = ()
+            f' {key}="{_escape(value, _ATTR_SPECIALS)}"' for key, value in node.attributes
+        ) if node.attributes else ""
         if sizes[handle] > 1:
             out.append(f"{indent}<{name}{attrs}>")
             if text is not None:
@@ -902,7 +895,7 @@ def serialize(doc: MathDoc, pretty: bool = False) -> str:
     """Serialize a document as well-formed XML with the MathML namespace
     declared on the math element.  Byte-deterministic for a given input;
     ``parse(serialize(doc), "strict")`` reproduces an equal tree."""
-    return _emit(doc.nodes, doc._sizes, pretty, extra_attrs=(("xmlns", MATHML_NS),))
+    return f'<math xmlns="{MATHML_NS}"' + _emit(doc.nodes, doc._sizes, pretty)[5:]  # "<math"
 
 
 # ---------------------------------------------------------------------------

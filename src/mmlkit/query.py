@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain
 from typing import Optional, Union
 
 from .core import MathDoc, MathNode
@@ -160,25 +161,27 @@ def _matches(node: MathNode, step: Step) -> bool:
 
 
 def select(doc: MathDoc, query: Query) -> list[int]:
-    """Handles of all nodes matching the query, in document order."""
+    """Handles of all nodes matching the query, in document order.  Each step
+    turns ascending handles into ascending handles: a descendant step skips a
+    context whose interval lies in one already scanned, so it reads each handle
+    at most once; a child step sorts, since nested contexts' children interleave."""
     if isinstance(query, PathUnion):
-        merged: set[int] = set()
-        for alt in query.alternatives:
-            merged.update(select(doc, alt))
-        return sorted(merged)
-    frontier: set[Optional[int]] = {None}  # virtual document node
+        return sorted({h for alt in query.alternatives for h in select(doc, alt)})
+    nodes = doc.nodes
+    frontier: list[Optional[int]] = [None]  # virtual document node
     for step in query.steps:
-        matched: set[int] = set()
-        for context in frontier:
-            if step.axis == "child":
-                candidates = doc.children_of(context)
-            else:
-                candidates = doc.descendants_of(context)
-            for handle in candidates:
-                if _matches(doc.node(handle), step):
-                    matched.add(handle)
-        frontier = set(matched)
-    return sorted(frontier)  # type: ignore[arg-type]
+        if step.axis == "child":
+            candidates = sorted(h for c in frontier for h in doc.children_of(c))
+        else:
+            spans, end = [], 0
+            for context in frontier:
+                span = doc.descendants_of(context)
+                if span.start >= end:  # not inside a scanned interval
+                    spans.append(span)
+                    end = span.stop
+            candidates = chain.from_iterable(spans)
+        frontier = [h for h in candidates if _matches(nodes[h], step)]
+    return frontier  # type: ignore[return-value]
 
 
 # ---------------------------------------------------------------------------

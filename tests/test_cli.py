@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import mmlkit
 from mmlkit import cli
 
 
@@ -116,6 +117,18 @@ class TestConvertWiring:
         assert (code, out, err) == (0, expected, "")
 
 
+@pytest.mark.parametrize("scope", ["presentation", "content"])
+def test_ted_on_a_branch_is_the_distance_of_the_split_documents(scope, invoke, paths,
+                                                                 listing1_text):
+    other = listing1_text.replace("mfrac", "msup").replace("divide", "power")
+    split = cli._SPLITTERS[scope]
+    expected = mmlkit.tree_edit_distance(split(mmlkit.parse(listing1_text)[0]),
+                                         split(mmlkit.parse(other)[0]))
+    assert expected > 0
+    argv = ["dist", "--measure", "ted", "--scope", scope, paths["L1"], "-"]
+    assert invoke(argv, stdin=other) == (0, cli.format_number(expected) + "\n", "")
+
+
 ERROR_CASES = [
     (["parse", "--strict", "L1"], 1, "mml parse: error:"),
     (["parse", "UNCLOSED"], 1, "mml parse: error:"),
@@ -136,6 +149,7 @@ ERROR_CASES = [
     (["dist", "--measure", "ted", "--costs", "1,1", "L1", "XY"], 2,
      "three comma-separated"),
     (["clean", "--features", "bogus", "L1"], 2, "unknown feature"),
+    (["clean", "--features", ",", "L1"], 2, "no features given"),
     (["clean", "L1"], 2, "--features"),
     (["select", "L1"], 2, ""),
     (["select", "--expr", "//mi", "--lib", "all-operators", "L1"], 2, ""),

@@ -108,6 +108,13 @@ class TestLenientRepairs:
         assert [r.kind for r in report.repairs] == [REPAIR_NAMESPACE_INSERTED]
         assert doc.root.children[0].text == "x"
 
+    def test_namespace_insertion_leaves_the_text_as_it_is(self):
+        # the model has no namespace attribute, so the repair is recorded only
+        repaired, repairs, _ = core._repair("<m:math><m:mi>x</m:mi></m:math>")
+        assert repaired == "<math><mi>x</mi></math>"
+        assert [r.kind for r in repairs] == [REPAIR_NAMESPACE_INSERTED] + [
+            REPAIR_ATTRIBUTE_NAMESPACE_DROPPED] * 2
+
     def test_entity_replacement(self):
         doc, report = mmlkit.parse(f'<math xmlns="{NS}"><mi>&alpha;</mi></math>')
         assert [r.kind for r in report.repairs] == [REPAIR_ENTITY_REPLACED]

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -87,6 +88,16 @@ class TestParsePath:
             assert mmlkit.parse_selector(mmlkit.render(query)) == query
 
 
+def best_of_3(call):
+    best = None
+    for _ in range(3):
+        start = time.perf_counter()
+        result = call()
+        elapsed = time.perf_counter() - start
+        best = elapsed if best is None else min(best, elapsed)
+    return best, result
+
+
 class TestSelect:
     def test_root_is_child_of_document_node(self, listing1_doc):
         assert mmlkit.select(listing1_doc, mmlkit.parse_path("math")) == [0]
@@ -130,6 +141,31 @@ class TestSelect:
             for _ in range(4):
                 query = generators.random_selector(rng)
                 assert mmlkit.select(doc, query) == oracles.select_reference(doc, query)
+
+    @pytest.mark.parametrize("text", [
+        "//mrow//mi", "//mrow/mi", "//*/*", "//*//*", "//mrow//mrow/mi", None])
+    def test_matches_reference_on_deep_docs(self, text):
+        # deep trees give nested contexts: a descendant step must not scan a
+        # nested interval twice, and a child step must merge their children
+        rng = random.Random(71)
+        for _ in range(100):
+            doc = mmlkit.MathDoc(mmlkit.MathNode(
+                "math", (), None, (generators.random_pres_tree(rng, 7),)))
+            query = generators.random_selector(rng) if text is None else mmlkit.parse_selector(text)
+            result = mmlkit.select(doc, query)
+            assert result == oracles.select_reference(doc, query)
+            assert all(a < b for a, b in zip(result, result[1:]))
+
+    def test_a_comb_selects_faster_than_it_parses(self):
+        # 120 nested mrow elements over 16,000 leaves: each leaf lies in 120
+        # contexts of the descendant step, and is read once
+        text = (f'<math xmlns="{NS}">' + "<mrow>" * 120 + "<mi>x</mi>" * 16000
+                + "</mrow>" * 120 + "</math>")
+        parse_s, (doc, _) = best_of_3(lambda: mmlkit.parse(text, "strict"))
+        select_s, result = best_of_3(
+            lambda: mmlkit.select(doc, mmlkit.parse_selector("//mrow//mi")))
+        assert result == list(range(121, 121 + 16000))
+        assert select_s < parse_s
 
     def test_results_strictly_increasing(self):
         rng = random.Random(53)
