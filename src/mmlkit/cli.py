@@ -24,12 +24,6 @@ from .errors import MalformedInput, MmlError
 
 _FEATURE_ALIASES = {name.replace("_", "-"): name for name in core.CLEANABLE_FEATURES}
 _SPLITTERS = {"presentation": core.split_presentation, "content": core.split_content}
-_HISTOGRAM_MEASURES = {
-    "hist-abs": similarity.hist_distance_absolute,
-    "hist-rel": similarity.hist_distance_relative,
-    "emd": similarity.emd,
-    "cosine": similarity.cosine_similarity,
-}
 
 
 class _Exit(Exception):
@@ -117,6 +111,11 @@ def _build_parser() -> _Parser:
                            const="strict", default="lenient",
                            help="reject inputs needing repair")
 
+    def add_histogram_flags(sub):
+        sub.add_argument("--scope", default="whole",
+                         choices=("whole", "presentation", "content"))
+        sub.add_argument("--include-structural", action="store_true")
+
     subs = parser.add_subparsers(dest="command", metavar="subcommand",
                                  parser_class=_Parser)
     subs.required = True
@@ -125,6 +124,7 @@ def _build_parser() -> _Parser:
     add_mode_flags(sub)
     sub.add_argument("--pretty", action="store_true", help="indented output")
     sub.add_argument("inputs", nargs="+", type=_path, metavar="input")
+    sub.set_defaults(transform=lambda doc, args: doc)
 
     sub = subs.add_parser("clean",
                           help="remove markup features and print the result")
@@ -134,6 +134,7 @@ def _build_parser() -> _Parser:
                           "presentation-branch, annotations")
     sub.add_argument("--pretty", action="store_true")
     sub.add_argument("inputs", nargs="+", type=_path, metavar="input")
+    sub.set_defaults(transform=lambda doc, args: core.clean(doc, args.features))
 
     sub = subs.add_parser("split",
                           help="extract one branch as a standalone document")
@@ -141,6 +142,7 @@ def _build_parser() -> _Parser:
     sub.add_argument("--branch", required=True, choices=tuple(_SPLITTERS))
     sub.add_argument("--pretty", action="store_true")
     sub.add_argument("inputs", nargs="+", type=_path, metavar="input")
+    sub.set_defaults(transform=lambda doc, args: _SPLITTERS[args.branch](doc))
 
     sub = subs.add_parser("extract",
                           help="list identifier elements as name<TAB>text")
@@ -158,32 +160,27 @@ def _build_parser() -> _Parser:
 
     sub = subs.add_parser("histogram", help="print an element-name histogram")
     add_mode_flags(sub)
-    sub.add_argument("--scope", default="whole",
-                     choices=("whole", "presentation", "content"))
-    sub.add_argument("--include-structural", action="store_true")
+    add_histogram_flags(sub)
     sub.add_argument("inputs", nargs="+", type=_path, metavar="input")
 
     sub = subs.add_parser("dist",
                           help="distance or similarity between two documents")
     add_mode_flags(sub)
     sub.add_argument("--measure", required=True,
-                     choices=("hist-abs", "hist-rel", "ted", "emd", "cosine"))
-    sub.add_argument("--scope", default="whole",
-                     choices=("whole", "presentation", "content"))
-    sub.add_argument("--include-structural", action="store_true")
+                     choices=("ted", *similarity.HISTOGRAM_MEASURES))
+    add_histogram_flags(sub)
     sub.add_argument("--costs", type=_parse_costs, metavar="INS,DEL,REN",
                      help="tree edit costs (ted only), default 1,1,1")
-    sub.add_argument("--label-mode", default="name", choices=("name", "name-text"),
-                     help="tree edit labels (ted only)")
+    sub.add_argument("--label-mode", choices=("name", "name-text"),
+                     help="tree edit labels (ted only), default name")
     sub.add_argument("inputs", nargs=2, type=_path, metavar="input")
 
     sub = subs.add_parser("doc-dist",
                           help="distance between two document collections")
     add_mode_flags(sub)
-    sub.add_argument("--measure", required=True, choices=("emd", "cosine"))
-    sub.add_argument("--scope", default="whole",
-                     choices=("whole", "presentation", "content"))
-    sub.add_argument("--include-structural", action="store_true")
+    sub.add_argument("--measure", required=True,
+                     choices=tuple(similarity.HISTOGRAM_MEASURES))
+    add_histogram_flags(sub)
     sub.add_argument("-a", "--left", action="append", required=True, type=_path,
                      metavar="FILE",
                      help="document on the left side (repeatable)")
@@ -214,21 +211,10 @@ def _load_docs(paths, mode) -> Iterator[core.MathDoc]:
         yield core.parse(_read_input(path), mode)[0]
 
 
-def _cmd_parse(args, out):
+def _cmd_write_docs(args, out):
+    """parse, clean and split: each input, transformed, as XML."""
     for doc in _load_docs(args.inputs, args.mode):
-        out.write(core.serialize(doc, pretty=args.pretty) + "\n")
-    return 0
-
-
-def _cmd_clean(args, out):
-    for doc in _load_docs(args.inputs, args.mode):
-        out.write(core.serialize(core.clean(doc, args.features), pretty=args.pretty) + "\n")
-    return 0
-
-
-def _cmd_split(args, out):
-    for doc in _load_docs(args.inputs, args.mode):
-        out.write(core.serialize(_SPLITTERS[args.branch](doc), pretty=args.pretty) + "\n")
+        out.write(core.serialize(args.transform(doc, args), pretty=args.pretty) + "\n")
     return 0
 
 
@@ -251,40 +237,35 @@ def _cmd_select(args, out):
 
 
 def _cmd_histogram(args, out):
-    histograms = [
-        similarity.histogram(doc, args.scope, args.include_structural)
-        for doc in _load_docs(args.inputs, args.mode)
-    ]
-    out.write(similarity.accumulate(histograms).to_text())
+    hist = similarity.collection_histogram(_load_docs(args.inputs, args.mode),
+                                           args.scope, args.include_structural)
+    out.write(hist.to_text())
     return 0
 
 
 def _cmd_dist(args, out):
+    ted = args.measure == "ted"
+    for flag, value in (("--costs", args.costs), ("--label-mode", args.label_mode)):
+        if value is not None and not ted:  # refused before any input is read
+            raise _Exit(2, f"mml dist: error: {flag} only applies to --measure ted\n")
     doc_a, doc_b = _load_docs(args.inputs, args.mode)
-    if args.measure == "ted":
+    if ted:
         split = _SPLITTERS.get(args.scope)  # None for the whole document
         if split is not None:
             doc_a, doc_b = split(doc_a), split(doc_b)
         value = similarity.tree_edit_distance(doc_a, doc_b, costs=args.costs,
-                                              label_mode=args.label_mode)
+                                              label_mode=args.label_mode or "name")
     else:
-        if args.costs is not None:
-            raise _Exit(2, "mml dist: error: --costs only applies to --measure ted\n")
-        value = _HISTOGRAM_MEASURES[args.measure](
-            similarity.histogram(doc_a, args.scope, args.include_structural),
-            similarity.histogram(doc_b, args.scope, args.include_structural))
+        value = similarity.document_distance([doc_a], [doc_b], args.measure,
+                                             args.scope, args.include_structural)
     out.write(format_number(value) + "\n")
     return 0
 
 
 def _cmd_doc_dist(args, out):
     value = similarity.document_distance(
-        _load_docs(args.left, args.mode),
-        _load_docs(args.right, args.mode),
-        measure=args.measure,
-        scope=args.scope,
-        include_structural=args.include_structural,
-    )
+        _load_docs(args.left, args.mode), _load_docs(args.right, args.mode),
+        args.measure, args.scope, args.include_structural)
     out.write(format_number(value) + "\n")
     return 0
 
@@ -316,9 +297,9 @@ def _cmd_gold_validate(args, out):
 
 
 _COMMANDS = {
-    "parse": _cmd_parse,
-    "clean": _cmd_clean,
-    "split": _cmd_split,
+    "parse": _cmd_write_docs,
+    "clean": _cmd_write_docs,
+    "split": _cmd_write_docs,
     "extract": _cmd_extract,
     "select": _cmd_select,
     "histogram": _cmd_histogram,

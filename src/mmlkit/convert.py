@@ -46,18 +46,16 @@ class ConverterSpec:
     command: str
     input_mode: str = "argument"
     timeout: float = 30.0
-    expects: str = "mathml-on-stdout"
 
     def __post_init__(self):
         if not self.name or not self.name.strip():
             raise ValueError("converter name must be non-empty")
         if self.input_mode not in INPUT_MODES:
             raise ValueError(f"unknown input mode {self.input_mode!r}")
-        if not isinstance(self.timeout, (int, float)) or self.timeout <= 0:
+        timeout = self.timeout  # a bool is no number of seconds
+        if isinstance(timeout, bool) or not isinstance(timeout, (int, float)) or timeout <= 0:
             raise ValueError("timeout must be positive")
-        object.__setattr__(self, "timeout", float(self.timeout))
-        if self.expects != "mathml-on-stdout":
-            raise ValueError(f"unsupported output contract {self.expects!r}")
+        object.__setattr__(self, "timeout", float(timeout))
         placeholders = self.command.count("{input}")
         if self.input_mode == "argument" and placeholders != 1:
             raise ValueError("argument-mode commands need exactly one {input} placeholder")
@@ -179,7 +177,8 @@ def load_converters(
             kwargs["input_mode"] = obj["input_mode"]
         if "timeout_ms" in obj:
             timeout_ms = obj["timeout_ms"]
-            if not isinstance(timeout_ms, (int, float)) or timeout_ms <= 0:
+            if (isinstance(timeout_ms, bool) or not isinstance(timeout_ms, (int, float))
+                    or timeout_ms <= 0):
                 raise SchemaError(f"converter {name!r}: timeout_ms must be positive")
             kwargs["timeout"] = timeout_ms / 1000.0
         try:

@@ -486,10 +486,12 @@ def _mathml_bound(prefix: str, local: str, scope: dict[str, bool]) -> bool:
             and scope.get(prefix, True))
 
 
-def _is_mathml(value: str) -> bool:
-    """Whether a raw attribute value names MathML once the XML parser has
-    resolved its character and entity references."""
-    return unescape(value) == MATHML_NS
+def _is_mathml(value: str, declared: set[str]) -> bool:
+    """Whether a raw attribute value names MathML once expat has resolved its
+    references; one to an entity the DOCTYPE declares is left to
+    :func:`_namespace_violation`, which rules on what expat made of it."""
+    referred = set(_ENTITY_RE.findall(value)) - _PREDEFINED_ENTITIES
+    return unescape(value) == MATHML_NS and not referred & declared
 
 
 def _repair(text: str) -> tuple[str, list[Repair], list[tuple[int, int, int]]]:
@@ -569,7 +571,7 @@ def _repair(text: str) -> tuple[str, list[Repair], list[tuple[int, int, int]]]:
                 for attr in attrs:
                     if attr["key"].startswith("xmlns:"):
                         prefix = attr["key"][6:]
-                        own[prefix] = own.get(prefix, False) or _is_mathml(attr["value"])
+                        own[prefix] = own.get(prefix, False) or _is_mathml(attr["value"], declared)
                 if own:
                     scope = {**scope, **own}
             if not text.endswith("/>", start, end):
@@ -592,7 +594,7 @@ def _repair(text: str) -> tuple[str, list[Repair], list[tuple[int, int, int]]]:
         for attr in attrs:
             key, key_pos = attr["key"], attr.start()
             if key.startswith("xmlns:"):
-                if _is_mathml(attr["value"]):
+                if _is_mathml(attr["value"], declared):
                     # take the whitespace before the declaration along only
                     # where whitespace, "/", ">" or the end of input (an
                     # empty slice) follows

@@ -86,56 +86,55 @@ def _parse_step(text: str, pos: int, axis: str) -> tuple[int, Step]:
     return pos, Step(axis, test, tuple(predicates))
 
 
-def parse_path(text: str) -> PathExpr:
-    """Parse a single path expression (no union) into a :class:`PathExpr`."""
-    s = text.strip()
-    if not s:
-        raise PathSyntaxError("empty path expression", 0)
-    pos = 0
-    if s.startswith("//"):
-        axis, pos = "descendant", 2
-    elif s.startswith("/"):
-        raise PathSyntaxError("paths are relative; a single leading '/' is not allowed", 0)
+_SPACE_RE = re.compile(r"\s*")
+
+
+def _parse_path(text: str, pos: int, stop: Optional[str]) -> tuple[int, PathExpr]:
+    """Parse the path at ``text[pos:]``, which runs, whitespace around it
+    aside, to the end of ``text`` or to ``stop``; returns the position of
+    that end and the path.  Error positions index ``text``."""
+    def ends(at: int) -> bool:  # only whitespace is left before the end or the stop
+        end = _SPACE_RE.match(text, at).end()
+        return end == len(text) or text[end] == stop
+
+    pos = _SPACE_RE.match(text, pos).end()
+    if ends(pos):
+        raise PathSyntaxError("empty path expression", pos)
+    if text.startswith("//", pos):
+        axis, pos = "descendant", pos + 2
+    elif text[pos] == "/":
+        raise PathSyntaxError("paths are relative; a single leading '/' is not allowed", pos)
     else:
         axis = "child"
     steps = []
     while True:
-        pos, step = _parse_step(s, pos, axis)
+        pos, step = _parse_step(text, pos, axis)
         steps.append(step)
-        if pos >= len(s):
-            break
-        if s.startswith("//", pos):
+        if ends(pos):
+            return _SPACE_RE.match(text, pos).end(), PathExpr(tuple(steps))
+        if text.startswith("//", pos):
             axis, pos = "descendant", pos + 2
-        elif s[pos] == "/":
+        elif text[pos] == "/":
             axis, pos = "child", pos + 1
         else:
-            raise PathSyntaxError(f"unexpected character {s[pos]!r}", pos)
-        if pos >= len(s):
+            raise PathSyntaxError(f"unexpected character {text[pos]!r}", pos)
+        if ends(pos):
             raise PathSyntaxError("path ends with a separator", pos)
-    return PathExpr(tuple(steps))
 
 
-def _split_union(text: str) -> list[str]:
-    parts, start, quote = [], 0, None
-    for i, c in enumerate(text):
-        if quote:
-            if c == quote:
-                quote = None
-        elif c == "'":
-            quote = c
-        elif c == "|":
-            parts.append(text[start:i])
-            start = i + 1
-    parts.append(text[start:])
-    return parts
+def parse_path(text: str) -> PathExpr:
+    """Parse a single path expression (no union) into a :class:`PathExpr`."""
+    return _parse_path(text, 0, None)[1]
 
 
 def parse_selector(text: str) -> Query:
-    """Parse a selector that may contain ``|``-joined alternatives."""
-    parts = _split_union(text)
-    if len(parts) == 1:
-        return parse_path(parts[0])
-    return PathUnion(tuple(parse_path(p) for p in parts))
+    """Parse a selector that may contain ``|``-joined alternatives, in one
+    pass: a ``|`` inside a predicate's quoted value is part of the value."""
+    alternatives, pos = [], -1
+    while pos < len(text):  # before the first alternative, or at a "|"
+        pos, path = _parse_path(text, pos + 1, "|")
+        alternatives.append(path)
+    return path if len(alternatives) == 1 else PathUnion(tuple(alternatives))
 
 
 def render(query: Query) -> str:

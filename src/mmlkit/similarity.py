@@ -8,7 +8,7 @@ element-name histogram or a labeled ordered tree, then compares those:
 * earth mover's distance, exact: half the integer L1 distance under the
   discrete ground, a small min-cost flow problem under override grounds,
 * cosine similarity of histogram vectors,
-* aggregate document-collection distance over any of the histogram measures.
+* document-collection distance under any of :data:`HISTOGRAM_MEASURES`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 from collections import Counter, deque
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .core import MathDoc, MathNode, _preorder
 from .errors import EmptyHistogram
@@ -393,25 +393,38 @@ def emd(a: Histogram, b: Histogram, ground: Optional[GroundDistance] = None) -> 
 # document-collection distance
 # ---------------------------------------------------------------------------
 
-def document_distance(
-    a_docs: Iterable[MathDoc],
-    b_docs: Iterable[MathDoc],
-    measure: str = "emd",
-    scope: str = "whole",
-    include_structural: bool = False,
-    ground: Optional[GroundDistance] = None,
-) -> float:
-    """Distance between two document collections: histograms are accumulated
-    per side, then compared with the selected measure (``emd`` or
-    ``cosine``)."""
-    a_list = list(a_docs)
-    b_list = list(b_docs)
-    if not a_list or not b_list:
+#: The histogram measures by name; only ``emd`` takes a ground distance.  An
+#: entry looks its function up when called, so one wrapped here serves all.
+HISTOGRAM_MEASURES: Mapping[str, Callable[..., float]] = MappingProxyType({
+    "hist-abs": lambda a, b: hist_distance_absolute(a, b),
+    "hist-rel": lambda a, b: hist_distance_relative(a, b),
+    "emd": lambda a, b, ground=None: emd(a, b, ground),
+    "cosine": lambda a, b: cosine_similarity(a, b),
+})
+
+
+def collection_histogram(docs: Iterable[MathDoc], scope: str = "whole",
+                         include_structural: bool = False) -> Histogram:
+    """Accumulated histogram of a non-empty document collection; each
+    document is reduced to its histogram as it is read."""
+    hists = [histogram(doc, scope, include_structural) for doc in docs]
+    if not hists:
         raise ValueError("document collections must be non-empty")
-    hist_a = accumulate(histogram(d, scope, include_structural) for d in a_list)
-    hist_b = accumulate(histogram(d, scope, include_structural) for d in b_list)
-    if measure == "emd":
-        return emd(hist_a, hist_b, ground)
-    if measure == "cosine":
-        return cosine_similarity(hist_a, hist_b)
-    raise ValueError(f"unknown measure {measure!r}")
+    return accumulate(hists)
+
+
+def document_distance(a_docs: Iterable[MathDoc], b_docs: Iterable[MathDoc],
+                      measure: str = "emd", scope: str = "whole",
+                      include_structural: bool = False,
+                      ground: Optional[GroundDistance] = None) -> float:
+    """The named measure of :data:`HISTOGRAM_MEASURES` between the
+    :func:`collection_histogram` of each side.  ``ground`` is for ``emd``
+    only; both are checked before any document is read."""
+    compare = HISTOGRAM_MEASURES.get(measure)
+    if compare is None:
+        raise ValueError(f"unknown measure {measure!r}")
+    if ground is not None and measure != "emd":
+        raise ValueError(f"a ground distance applies only to 'emd', not {measure!r}")
+    hist_a = collection_histogram(a_docs, scope, include_structural)
+    hist_b = collection_histogram(b_docs, scope, include_structural)
+    return compare(hist_a, hist_b) if ground is None else compare(hist_a, hist_b, ground)

@@ -146,6 +146,13 @@ ERROR_CASES = [
     (["gold-validate", "--gold", "CONVERTERS"], 1, "id must be a positive integer"),
     (["dist", "--measure", "emd", "--costs", "1,1,1", "L1", "XY"], 2,
      "--costs only applies"),
+    # refused before any input is read, so the unclosed file is no parse error
+    (["dist", "--measure", "emd", "--costs", "1,1,1", "UNCLOSED", "XY"], 2,
+     "mml dist: error: --costs only applies to --measure ted\n"),
+    (["dist", "--measure", "cosine", "--label-mode", "name", "UNCLOSED", "XY"], 2,
+     "mml dist: error: --label-mode only applies to --measure ted\n"),
+    (["dist", "--measure", "hist-abs", "--label-mode", "name-text", "L1", "XY"], 2,
+     "--label-mode only applies"),
     (["dist", "--measure", "ted", "--costs", "1,1", "L1", "XY"], 2,
      "three comma-separated"),
     (["clean", "--features", "bogus", "L1"], 2, "unknown feature"),
@@ -163,6 +170,25 @@ ERROR_CASES = [
     (["frobnicate"], 2, ""),
     ([], 2, ""),
 ]
+
+
+@pytest.mark.parametrize("measure", list(mmlkit.similarity.HISTOGRAM_MEASURES))
+def test_doc_dist_with_one_file_a_side_prints_what_dist_prints(measure, invoke, paths):
+    dist = invoke(["dist", "--measure", measure, paths["L1"], paths["XY"]])
+    assert dist[0] == 0
+    assert invoke(["doc-dist", "--measure", measure,
+                   "-a", paths["L1"], "-b", paths["XY"]]) == dist
+
+
+def test_dist_refuses_ted_options_before_reading_any_input(invoke, paths, monkeypatch):
+    read = []
+    monkeypatch.setattr(cli, "_read_input", read.append)
+    for option in (["--costs", "1,1,1"], ["--label-mode", "name"]):
+        for measure in mmlkit.similarity.HISTOGRAM_MEASURES:
+            code, out, _ = invoke(["dist", "--measure", measure, *option,
+                                   paths["L1"], paths["XY"]])
+            assert (code, out) == (2, "")
+    assert read == []
 
 
 class TestExitCodes:

@@ -31,7 +31,6 @@ class TestConverterSpec:
         spec = ConverterSpec("t", "tool {input}")
         assert spec.input_mode == "argument"
         assert spec.timeout == 30.0
-        assert spec.expects == "mathml-on-stdout"
 
     def test_timeout_coerced_to_float(self):
         assert ConverterSpec("t", "tool {input}", timeout=5).timeout == 5.0
@@ -43,7 +42,7 @@ class TestConverterSpec:
         {"timeout": 0},
         {"timeout": -1},
         {"timeout": "fast"},
-        {"expects": "json-on-stdout"},
+        {"timeout": True},  # a bool is no number of seconds
     ])
     def test_field_validation(self, kwargs):
         base = {"name": "t", "command": "tool {input}"}
@@ -193,6 +192,7 @@ class TestLoadConverters:
         ('[{"name": "t", "command": 5}]', "name and command"),
         ('[{"name": "t", "command": "tool {input}", "timeout_ms": 0}]', "timeout_ms"),
         ('[{"name": "t", "command": "tool {input}", "timeout_ms": "fast"}]', "timeout_ms"),
+        ('[{"name": "t", "command": "tool {input}", "timeout_ms": true}]', "timeout_ms"),
         ('[{"name": "t", "command": "tool"}]', "placeholder"),
     ])
     def test_schema_errors(self, text, pattern):

@@ -56,6 +56,20 @@ class TestParsePath:
             mmlkit.parse_path(bad)
         assert info.value.position == position
 
+    @pytest.mark.parametrize("bad,position", [
+        ("//mi | //m!", 10),
+        ("  //m!", 5),
+        ("  ", 2),
+        (" /mi", 1),
+        ("//mi |", 6),
+        ("//mi | | //ci", 7),
+        ("//mi[@k='a|b'] | x/", 19),
+    ])
+    def test_selector_error_positions_index_the_text_as_given(self, bad, position):
+        with pytest.raises(PathSyntaxError) as info:
+            mmlkit.parse_selector(bad)
+        assert info.value.position == position
+
     def test_union_selector(self):
         query = mmlkit.parse_selector("//mi | //ci")
         assert isinstance(query, PathUnion)

@@ -1,6 +1,7 @@
 """Inputs at the edges: nesting depth, non-UTF-8 files, mutated documents."""
 
 import random
+import re
 import xml.parsers.expat
 from operator import is_
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mmlkit
-from mmlkit import MalformedInput, MathDoc, MmlError, cli, core
+from mmlkit import DuplicateId, MalformedInput, MathDoc, MmlError, cli, core
 from mmlkit.convert import canonicalize
 from mmlkit.core import MAX_DEPTH
 
@@ -202,6 +203,35 @@ def test_strict_mode_accepts_only_namespace_well_formed_xml(seed, kinds):
     except MmlError:
         return
     assert oracles.namespace_well_formed(text)
+
+
+#: What strict mode adds to Namespaces in XML: the depth limit, the MathML
+#: rules, and an entity that expat skips under an external subset.
+MATHML_RULES = re.compile(
+    rf"elements nested deeper than {MAX_DEPTH} levels$"
+    r"|math element lacks a namespace declaration \(strict mode\)$"
+    r"|math element declares a foreign namespace "
+    r"|prefix '[^']*' bound to the MathML namespace$"
+    r"|input does not contain a math root element \(found '"
+    r"|undefined entity &")
+EXTERNAL_SUBSET = re.compile(r"<!DOCTYPE[^>\[]*\b(?:SYSTEM|PUBLIC)\b")
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), kinds=mutation_lists)
+def test_strict_mode_rejects_namespace_well_formed_xml_only_by_mathml_rules(seed, kinds):
+    text = mutated_text(seed, kinds)
+    if not oracles.namespace_well_formed(text):
+        return
+    try:
+        mmlkit.parse(text, "strict")
+    except DuplicateId:
+        pass
+    except MalformedInput as exc:
+        message = str(exc)
+        assert MATHML_RULES.match(message), message
+        if message.startswith("undefined entity &"):
+            assert EXTERNAL_SUBSET.search(text), message
 
 
 UNDEFINED_ENTITY = xml.parsers.expat.errors.codes[

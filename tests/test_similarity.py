@@ -541,3 +541,35 @@ class TestDocumentDistance:
             mmlkit.document_distance([], [listing1_doc], "emd")
         with pytest.raises(ValueError):
             mmlkit.document_distance([listing1_doc], [listing1_doc], "ted")
+
+    @pytest.mark.parametrize("measure", list(mmlkit.similarity.HISTOGRAM_MEASURES))
+    def test_every_measure_of_the_table_on_lists_and_one_shot_iterators(
+            self, measure, listing1_doc):
+        doc2, _ = mmlkit.parse(f'<math xmlns="{NS}"><mrow><mi>x</mi><mo>!</mo></mrow></math>')
+        a, b = [listing1_doc, doc2], [doc2]
+        expected = mmlkit.similarity.HISTOGRAM_MEASURES[measure](
+            mmlkit.accumulate(map(mmlkit.histogram, a)), mmlkit.histogram(doc2))
+        assert mmlkit.document_distance(a, b, measure) == expected
+        assert mmlkit.document_distance(iter(a), (d for d in b), measure) == expected
+
+    def test_the_table_calls_the_function_the_module_holds_now(self, listing1_doc,
+                                                               monkeypatch):
+        # a tracer wraps the module's functions after import; the table must see it
+        monkeypatch.setattr(mmlkit.similarity, "cosine_similarity", lambda a, b: -1.0)
+        assert mmlkit.document_distance([listing1_doc], [listing1_doc], "cosine") == -1.0
+
+    def test_measure_and_ground_are_checked_before_any_document_is_read(self, listing1_doc):
+        read = []
+
+        def docs():
+            read.append(1)
+            yield listing1_doc
+
+        ground = GroundDistance({("mi", "mo"): 0.5})
+        for measure in ("hist-abs", "hist-rel", "cosine"):
+            with pytest.raises(ValueError, match="ground distance"):
+                mmlkit.document_distance(docs(), docs(), measure, ground=ground)
+        with pytest.raises(ValueError, match="unknown measure 'ted'"):
+            mmlkit.document_distance(docs(), docs(), "ted")
+        assert read == []
+        assert mmlkit.document_distance(docs(), docs(), "emd", ground=ground) == 0.0
