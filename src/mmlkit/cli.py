@@ -245,9 +245,12 @@ def _cmd_histogram(args, out):
 
 def _cmd_dist(args, out):
     ted = args.measure == "ted"
-    for flag, value in (("--costs", args.costs), ("--label-mode", args.label_mode)):
-        if value is not None and not ted:  # refused before any input is read
-            raise _Exit(2, f"mml dist: error: {flag} only applies to --measure ted\n")
+    for flag, refused, verb in (
+            ("--costs", args.costs is not None and not ted, "only applies"),
+            ("--label-mode", args.label_mode is not None and not ted, "only applies"),
+            ("--include-structural", args.include_structural and ted, "does not apply")):
+        if refused:  # before any input is read
+            raise _Exit(2, f"mml dist: error: {flag} {verb} to --measure ted\n")
     doc_a, doc_b = _load_docs(args.inputs, args.mode)
     if ted:
         split = _SPLITTERS.get(args.scope)  # None for the whole document

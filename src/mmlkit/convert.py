@@ -52,9 +52,10 @@ class ConverterSpec:
             raise ValueError("converter name must be non-empty")
         if self.input_mode not in INPUT_MODES:
             raise ValueError(f"unknown input mode {self.input_mode!r}")
-        timeout = self.timeout  # a bool is no number of seconds
-        if isinstance(timeout, bool) or not isinstance(timeout, (int, float)) or timeout <= 0:
-            raise ValueError("timeout must be positive")
+        timeout = self.timeout  # a bool is no number of seconds; NaN compares false
+        if (isinstance(timeout, bool) or not isinstance(timeout, (int, float))
+                or not 0 < timeout <= sys.float_info.max):  # nor an int past any float
+            raise ValueError("timeout must be finite and positive")
         object.__setattr__(self, "timeout", float(timeout))
         placeholders = self.command.count("{input}")
         if self.input_mode == "argument" and placeholders != 1:
@@ -178,8 +179,8 @@ def load_converters(
         if "timeout_ms" in obj:
             timeout_ms = obj["timeout_ms"]
             if (isinstance(timeout_ms, bool) or not isinstance(timeout_ms, (int, float))
-                    or timeout_ms <= 0):
-                raise SchemaError(f"converter {name!r}: timeout_ms must be positive")
+                    or not 0 < timeout_ms <= sys.float_info.max):  # as in ConverterSpec
+                raise SchemaError(f"converter {name!r}: timeout_ms must be finite and positive")
             kwargs["timeout"] = timeout_ms / 1000.0
         try:
             spec = ConverterSpec(name, command, **kwargs)

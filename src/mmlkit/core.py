@@ -24,13 +24,14 @@ deeper input raises :class:`MalformedInput`.  The bound limits input only:
 
 :class:`MathDoc` keeps the tree's nodes in preorder, with each node's parent
 and subtree size: a node's subtree, and each branch, is one contiguous slice
-of ``doc.nodes``.  ``parse``'s handlers write this index as they build the
-tree; :func:`_preorder` writes it in one walk for any other tree, hand-built
-or rebuilt.  A node object may occur at several places in a hand-built tree;
-each occurrence has its own handle, and :meth:`MathDoc.handle` returns the
-first of them in preorder.  ``clean`` and ``canonicalize`` copy only the
-nodes on a path from a change to the root, so their results share unchanged
-subtrees, node objects, with their input.
+of ``doc.nodes``.  The nodes come from ``parse``'s handlers, which list them
+as they build the tree, or from :func:`iter_subtree` for any other tree,
+hand-built or rebuilt; parents and sizes come from the nodes alone, in one
+pass of :func:`_parents_and_sizes`.  A node object may occur at several
+places in a hand-built tree; each occurrence has its own handle, and
+:meth:`MathDoc.handle` returns the first of them in preorder.  ``clean`` and
+``canonicalize`` copy only the nodes on a path from a change to the root, so
+their results share unchanged subtrees, node objects, with their input.
 """
 
 from __future__ import annotations
@@ -253,22 +254,20 @@ def _rebuild(doc: MathDoc, make) -> Optional[MathNode]:
     return built[0]
 
 
-def _preorder(root: MathNode) -> tuple[tuple, tuple, tuple]:
-    """Preorder nodes, parent handles and subtree sizes of ``root``'s tree,
-    from one iterative walk; handle ``h``'s subtree is ``nodes[h:h + sizes[h]]``."""
-    nodes: list[MathNode] = []
-    parents: list[Optional[int]] = []
-    stack: list[tuple[MathNode, Optional[int]]] = [(root, None)]
-    while stack:
-        node, parent = stack.pop()
-        handle = len(nodes)
-        nodes.append(node)
-        parents.append(parent)
-        stack.extend((child, handle) for child in reversed(node.children))
+def _parents_and_sizes(nodes: tuple[MathNode, ...]) -> tuple[tuple, tuple]:
+    """Parent handles and subtree sizes of a tree given by its nodes in
+    preorder, from one reverse pass: a node's first child follows it, and
+    each later child follows its elder sibling's subtree, whose size the
+    pass already knows.  Handle ``h``'s subtree is ``nodes[h:h + sizes[h]]``."""
+    parents: list[Optional[int]] = [None] * len(nodes)
     sizes = [1] * len(nodes)
-    for handle in range(len(nodes) - 1, 0, -1):
-        sizes[parents[handle]] += sizes[handle]
-    return tuple(nodes), tuple(parents), tuple(sizes)
+    for handle in range(len(nodes) - 1, -1, -1):
+        child = handle + 1
+        for _ in nodes[handle].children:
+            parents[child] = handle
+            child += sizes[child]
+        sizes[handle] = child - handle
+    return tuple(parents), tuple(sizes)
 
 
 def iter_subtree(node: MathNode) -> Iterator[MathNode]:
@@ -305,15 +304,17 @@ class MathDoc:
 
     Node handles are stable indices into the document's preorder enumeration
     (the math element itself is handle 0).  Instances are immutable; every
-    mutating operation in this module returns a new document.  ``_index``,
-    for ``parse`` only, is the preorder nodes, parent handles and subtree
-    sizes of ``root``'s tree, as :func:`_preorder` would give them.
+    mutating operation in this module returns a new document.  ``_nodes``,
+    for ``parse`` only, is ``root``'s tree in preorder, as
+    :func:`iter_subtree` gives it; parent handles and subtree sizes come
+    from those nodes alone, through :func:`_parents_and_sizes`.
     """
 
-    def __init__(self, root: MathNode, *, _index: Optional[tuple[tuple, tuple, tuple]] = None):
+    def __init__(self, root: MathNode, *, _nodes: Optional[tuple[MathNode, ...]] = None):
         if root.name != "math":
             raise MalformedInput("document root must be a math element")
-        self._nodes, self._parents, self._sizes = _index or _preorder(root)
+        self._nodes = _nodes or tuple(iter_subtree(root))
+        self._parents, self._sizes = _parents_and_sizes(self._nodes)
         ids: dict[str, int] = {}
         for handle, node in enumerate(self._nodes):
             id_value = node.attr("id")
@@ -686,25 +687,23 @@ def _namespace_violation(name: str, keys: list[str], values: list[str],
 
 class _Builder:
     """Expat handlers that build each element's :class:`MathNode` once, when
-    it closes, and write the preorder index as they go: an element's handle
-    is the number of elements opened before it, and ``nodes``, ``parents``
-    and ``sizes`` are :func:`_preorder`'s three sequences once the root has
-    closed.  The MathML default namespace declaration is dropped on the way
-    (the namespace is implicit in the model).  The first namespace violation in
-    preorder (a math element that declares no default namespace only if
-    ``strict``) is recorded in ``violation`` rather than raised, so that a
-    later well-formedness error still takes precedence.  Both modes judge
-    namespaces alike: the lenient repair scan has already rewritten what it
-    repairs, and what it cannot see, such as an entity's expansion, is judged
-    here as in strict mode."""
+    it closes, and list the tree's nodes in preorder as they go: an element's
+    handle is the number of elements opened before it, and its node fills
+    ``nodes[handle]`` when it closes, so ``nodes`` is what :func:`iter_subtree`
+    gives once the root has closed.  The MathML default namespace declaration
+    is dropped on the way (the namespace is implicit in the model).  The first
+    namespace violation in preorder (a math element that declares no default
+    namespace only if ``strict``) is recorded in ``violation`` rather than
+    raised, so that a later well-formedness error still takes precedence.
+    Both modes judge namespaces alike: the lenient repair scan has already
+    rewritten what it repairs, and what it cannot see, such as an entity's
+    expansion, is judged here as in strict mode."""
 
     def __init__(self, strict: bool):
         self._strict = strict
         # per open element: [name, attributes, text parts, children, prefix scope, handle]
         self._stack: list[list] = []
         self.nodes: list[Optional[MathNode]] = []  # None until the element closes
-        self.parents: list[Optional[int]] = []
-        self.sizes: list[int] = []
         self.violation: Optional[str] = None
 
     def start(self, name, attrs):
@@ -725,19 +724,14 @@ class _Builder:
                 self.violation = _namespace_violation(
                     name, keys, values, scope, self._strict and not stack)
         nodes = self.nodes
-        handle = len(nodes)
-        self.parents.append(stack[-1][5] if stack else None)
+        stack.append([name, pairs, [], [], scope, len(nodes)])
         nodes.append(None)
-        self.sizes.append(1)
-        stack.append([name, pairs, [], [], scope, handle])
 
     def end(self, _name):
         name, pairs, text_parts, children, _, handle = self._stack.pop()
         text = "".join(text_parts).strip(" \t\r\n")
         node = _node(name, tuple(pairs), text or None, tuple(children))
-        nodes = self.nodes
-        nodes[handle] = node
-        self.sizes[handle] = len(nodes) - handle
+        self.nodes[handle] = node
         if self._stack:
             self._stack[-1][3].append(node)
 
@@ -837,8 +831,7 @@ def parse(text: str, mode: str = "lenient") -> tuple[MathDoc, ParseReport]:
         raise MalformedInput(builder.violation)
     if root.has_attr("xmlns"):  # MathML declarations were dropped while building
         raise MalformedInput(f"math element declares a foreign namespace {root.attr('xmlns')!r}")
-    doc = MathDoc(root, _index=(tuple(builder.nodes), tuple(builder.parents),
-                                tuple(builder.sizes)))
+    doc = MathDoc(root, _nodes=tuple(builder.nodes))
     report = ParseReport(repairs=tuple(repairs), dangling_xrefs=doc.dangling_xrefs)
     return doc, report
 
@@ -863,7 +856,7 @@ def _escape(value: str, specials: re.Pattern = _TEXT_SPECIALS) -> str:
 
 def _emit(nodes: tuple[MathNode, ...], sizes: tuple[int, ...], pretty: bool) -> str:
     """XML for a tree given by preorder nodes and subtree sizes (as from
-    :func:`_preorder`)."""
+    :func:`_parents_and_sizes`)."""
     out: list[str] = []
     stack: list[tuple[int, str]] = []  # (end of subtree, end tag) per open ancestor
     for handle, node in enumerate(nodes):
@@ -889,8 +882,8 @@ def _emit(nodes: tuple[MathNode, ...], sizes: tuple[int, ...], pretty: bool) -> 
 
 def serialize_node(node: MathNode, pretty: bool = False) -> str:
     """Serialize a node subtree as an XML fragment (no namespace injected)."""
-    nodes, _, sizes = _preorder(node)
-    return _emit(nodes, sizes, pretty)
+    nodes = tuple(iter_subtree(node))
+    return _emit(nodes, _parents_and_sizes(nodes)[1], pretty)
 
 
 def serialize(doc: MathDoc, pretty: bool = False) -> str:

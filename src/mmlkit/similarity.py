@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Union
 
-from .core import MathDoc, MathNode, _preorder
+from .core import MathDoc, MathNode, _parents_and_sizes, iter_subtree
 from .errors import EmptyHistogram
 
 #: Wrapper elements that carry no mathematical content of their own.
@@ -167,13 +167,15 @@ def _flatten(tree: Union[MathDoc, MathNode], label_mode: str,
     """Postorder arrays for Zhang/Shasha, 1-indexed: labels interned to small
     ints through ``intern``, leftmost-leaf indices, and the keyroots (the
     last node with each leftmost leaf), ascending.  Sorting the preorder
-    handles (a document's own, else :func:`core._preorder`'s) by subtree end,
-    deepest first, gives postorder, where node ``k``'s leftmost leaf is
-    ``k - size + 1``."""
+    handles by subtree end, deepest first, gives postorder, where node
+    ``k``'s leftmost leaf is ``k - size + 1``.  A bare node's tree is
+    indexed as :class:`MathDoc` indexes one, by :func:`core.iter_subtree`
+    and :func:`core._parents_and_sizes`."""
     if isinstance(tree, MathDoc):
         nodes, sizes = tree.nodes, tree._sizes
     else:
-        nodes, _, sizes = _preorder(tree)
+        nodes = tuple(iter_subtree(tree))
+        sizes = _parents_and_sizes(nodes)[1]
     with_text = label_mode == "name-text"
     labels = [None]
     lml = [0]

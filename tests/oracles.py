@@ -2,10 +2,11 @@
 
 Deliberately naive: exhaustive recursion for tree edit distance, unit-mass
 expansion plus Hungarian assignment (and tiny brute force) for the earth
-mover's distance, an ancestor-chain matcher for path selection, plain
-recursive rebuilds, which copy every node, for canonicalization and cleaning,
-and ``xml.dom.minidom`` for namespace well-formedness.  None of them share
-code or algorithmic structure with the implementations under test.
+mover's distance, an ancestor-chain matcher for path selection, a recursive
+walk for a document's preorder index, plain recursive rebuilds, which copy
+every node, for canonicalization and cleaning, and ``xml.dom.minidom`` for
+namespace well-formedness.  None of them share code or algorithmic structure
+with the implementations under test.
 """
 
 from __future__ import annotations
@@ -146,6 +147,22 @@ def select_reference(doc, query) -> list[int]:
         return False
 
     return [h for h in range(len(doc.nodes)) if matches_at(len(steps) - 1, h)]
+
+
+def naive_walk(root) -> list[tuple[object, object]]:
+    """(node, parent position) for every place in the tree, in preorder,
+    by plain recursion: the reference for a document's handles, parents,
+    children and descendants."""
+    places: list[tuple[object, object]] = []
+
+    def visit(node, parent):
+        here = len(places)
+        places.append((node, parent))
+        for child in node.children:
+            visit(child, here)
+
+    visit(root, None)
+    return places
 
 
 def count_identifiers(node) -> int:

@@ -153,6 +153,8 @@ ERROR_CASES = [
      "mml dist: error: --label-mode only applies to --measure ted\n"),
     (["dist", "--measure", "hist-abs", "--label-mode", "name-text", "L1", "XY"], 2,
      "--label-mode only applies"),
+    (["dist", "--measure", "ted", "--include-structural", "UNCLOSED", "XY"], 2,
+     "mml dist: error: --include-structural does not apply to --measure ted\n"),
     (["dist", "--measure", "ted", "--costs", "1,1", "L1", "XY"], 2,
      "three comma-separated"),
     (["clean", "--features", "bogus", "L1"], 2, "unknown feature"),

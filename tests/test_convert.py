@@ -43,6 +43,9 @@ class TestConverterSpec:
         {"timeout": -1},
         {"timeout": "fast"},
         {"timeout": True},  # a bool is no number of seconds
+        {"timeout": float("nan")},
+        {"timeout": float("inf")},
+        {"timeout": 10 ** 400},  # more than any float holds
     ])
     def test_field_validation(self, kwargs):
         base = {"name": "t", "command": "tool {input}"}
@@ -193,6 +196,10 @@ class TestLoadConverters:
         ('[{"name": "t", "command": "tool {input}", "timeout_ms": 0}]', "timeout_ms"),
         ('[{"name": "t", "command": "tool {input}", "timeout_ms": "fast"}]', "timeout_ms"),
         ('[{"name": "t", "command": "tool {input}", "timeout_ms": true}]', "timeout_ms"),
+        ('[{"name": "t", "command": "tool {input}", "timeout_ms": NaN}]', "timeout_ms"),
+        ('[{"name": "t", "command": "tool {input}", "timeout_ms": Infinity}]', "timeout_ms"),
+        ('[{"name": "t", "command": "tool {input}", "timeout_ms": 1%s}]' % ("0" * 400),
+         "timeout_ms"),
         ('[{"name": "t", "command": "tool"}]', "placeholder"),
     ])
     def test_schema_errors(self, text, pattern):

@@ -187,6 +187,36 @@ def test_the_parser_writes_the_index_a_walk_of_its_tree_gives(seed, kinds):
 
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1), kinds=mutation_lists)
+def test_the_index_of_a_parsed_document_agrees_with_a_recursive_walk(seed, kinds):
+    text = mutated_text(seed, kinds)
+    for mode in ("lenient", "strict"):
+        try:
+            doc, _ = mmlkit.parse(text, mode)
+        except MmlError:
+            # an unmutated text is a serialization, which parses in both
+            # modes; a wrong index that breaks serialization must not leave
+            # this test nothing to check
+            assert kinds
+            continue
+        places = oracles.naive_walk(doc.root)
+        assert len(doc.nodes) == len(places)
+        children = [[] for _ in places]
+        below = [[] for _ in places]
+        for handle, (node, parent) in enumerate(places):
+            assert doc.node(handle) is node
+            assert doc.parent(handle) == parent
+            if parent is not None:
+                children[parent].append(handle)
+            while parent is not None:  # each ancestor, nearest first
+                below[parent].append(handle)
+                parent = places[parent][1]
+        for handle in range(len(places)):
+            assert doc.children_of(handle) == tuple(children[handle])
+            assert list(doc.descendants_of(handle)) == below[handle]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), kinds=mutation_lists)
 def test_the_repair_scan_stops_only_where_nothing_is_left_to_repair(seed, kinds):
     # a ":" at the very end keeps the scan of the longer text from stopping early
     text = mutated_text(seed, kinds)

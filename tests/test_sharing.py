@@ -104,26 +104,12 @@ def test_only_the_path_to_a_change_is_rebuilt(rebuild, depth, built):
     assert built == []
 
 
-def naive_walk(root: MathNode) -> list[tuple[MathNode, object]]:
-    """(node, parent position) for every place in the tree, in preorder."""
-    places: list[tuple[MathNode, object]] = []
-
-    def visit(node, parent):
-        here = len(places)
-        places.append((node, parent))
-        for child in node.children:
-            visit(child, here)
-
-    visit(root, None)
-    return places
-
-
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_handles_are_preorder_positions_in_shared_trees(seed):
     root = generators.shuffled_shared_root(random.Random(seed))
     doc = MathDoc(root)
-    places = naive_walk(root)
+    places = oracles.naive_walk(root)
     assert len(doc.nodes) == len(places)
     for handle, (node, parent) in enumerate(places):
         assert doc.node(handle) is node
