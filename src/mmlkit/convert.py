@@ -38,6 +38,17 @@ from .errors import (
 INPUT_MODES = ("argument", "standard-input")
 
 
+def _timeout(value, field: str, unit_ms: int) -> float:
+    """``value`` units of ``unit_ms`` ms as a float if ``subprocess`` can wait
+    that long, 2**31 - 1 ms (a C int), else a ValueError naming ``field``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))  # a bool is no number
+            or not 0 < value <= sys.float_info.max):  # and NaN compares false
+        raise ValueError(f"{field} must be finite and positive")
+    if value > (2 ** 31 - 1) / unit_ms:
+        raise ValueError(f"{field} must be at most {(2 ** 31 - 1) / unit_ms:.15g}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ConverterSpec:
     """How to run one external converter."""
@@ -52,11 +63,7 @@ class ConverterSpec:
             raise ValueError("converter name must be non-empty")
         if self.input_mode not in INPUT_MODES:
             raise ValueError(f"unknown input mode {self.input_mode!r}")
-        timeout = self.timeout  # a bool is no number of seconds; NaN compares false
-        if (isinstance(timeout, bool) or not isinstance(timeout, (int, float))
-                or not 0 < timeout <= sys.float_info.max):  # nor an int past any float
-            raise ValueError("timeout must be finite and positive")
-        object.__setattr__(self, "timeout", float(timeout))
+        object.__setattr__(self, "timeout", _timeout(self.timeout, "timeout", 1000))
         placeholders = self.command.count("{input}")
         if self.input_mode == "argument" and placeholders != 1:
             raise ValueError("argument-mode commands need exactly one {input} placeholder")
@@ -160,7 +167,7 @@ def load_converters(
     target = registry or _default_registry
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, a huge int, too deep a nesting
         raise SchemaError(f"converter spec is not valid JSON: {exc}") from None
     if not isinstance(data, list):
         raise SchemaError("converter spec must be a JSON array")
@@ -176,13 +183,9 @@ def load_converters(
         kwargs = {}
         if "input_mode" in obj:
             kwargs["input_mode"] = obj["input_mode"]
-        if "timeout_ms" in obj:
-            timeout_ms = obj["timeout_ms"]
-            if (isinstance(timeout_ms, bool) or not isinstance(timeout_ms, (int, float))
-                    or not 0 < timeout_ms <= sys.float_info.max):  # as in ConverterSpec
-                raise SchemaError(f"converter {name!r}: timeout_ms must be finite and positive")
-            kwargs["timeout"] = timeout_ms / 1000.0
         try:
+            if "timeout_ms" in obj:
+                kwargs["timeout"] = _timeout(obj["timeout_ms"], "timeout_ms", 1) / 1000
             spec = ConverterSpec(name, command, **kwargs)
         except ValueError as exc:
             raise SchemaError(f"converter {name!r}: {exc}") from None

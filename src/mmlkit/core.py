@@ -10,8 +10,8 @@ Parsing is fault tolerant on demand: lenient mode first repairs the raw text
 (a missing MathML namespace, named-entity replacement, namespace-prefix
 dropping) in one forward scan and records every repair.  The scan skips
 comments, CDATA, processing instructions and declarations, and judges a prefix
-in the scope of the ``xmlns:`` declarations on the element and its open
-ancestors, as strict mode does.  Errors from the XML parser give line, column
+by the ``xmlns:`` declarations in scope, as strict mode does: each pass keeps
+one prefix table, restored as each element closes.  Errors give line, column
 and position in the original input, also after a repair rewrote it.
 
 The XML parser's handlers build each element's :class:`MathNode` exactly
@@ -71,8 +71,6 @@ _RESERVED_NAMESPACES = (_XML_NS, "http://www.w3.org/2000/xmlns/")
 #: The reserved prefixes, each with the one URI a declaration may bind it to
 #: (``xmlns`` may not be declared at all).
 _RESERVED_PREFIXES = {"xml": _XML_NS, "xmlns": None}
-#: The prefix scope of the math element's parent: ``xml`` needs no declaration.
-_XML_SCOPE = {"xml": _XML_NS}
 
 #: Content-markup element names, used to classify bare (semantics-less)
 #: documents into a presentation or content branch.
@@ -495,6 +493,15 @@ def _is_mathml(value: str, declared: set[str]) -> bool:
     return unescape(value) == MATHML_NS and not referred & declared
 
 
+def _unbind(scope: dict, replaced: Iterable[tuple[str, object]]) -> None:
+    """Restore a prefix table's ``(prefix, previous binding or None)`` pairs."""
+    for prefix, previous in replaced:
+        if previous is None:
+            scope.pop(prefix, None)  # the judge may stop short of binding it
+        else:
+            scope[prefix] = previous
+
+
 def _repair(text: str) -> tuple[str, list[Repair], list[tuple[int, int, int]]]:
     """Apply the three leniency rules in one forward scan over ``text``.
 
@@ -517,8 +524,8 @@ def _repair(text: str) -> tuple[str, list[Repair], list[tuple[int, int, int]]]:
     found: tuple[list[Repair], ...] = ([], [], [])  # per rule
     copied = 0  # text[:copied] is accounted for in out
     located = located_bytes = 0  # the UTF-8 length of text[:located]
-    # per open element: its raw name, and prefix -> bound to MathML
-    stack: list[tuple[str, dict[str, bool]]] = []
+    scope: dict[str, bool] = {}  # prefix -> bound to MathML, for the open elements
+    stack: list[tuple[str, Iterable]] = []  # (raw name, bindings replaced) per open element
     declared = set(_PREDEFINED_ENTITIES)
     need_math = True
 
@@ -560,10 +567,10 @@ def _repair(text: str) -> tuple[str, list[Repair], list[tuple[int, int, int]]]:
         name_pos = token.start(kind)
         name_end = name_pos + len(name)
         opens = kind == "start"
+        closes = not opens or text.endswith("/>", start, end)
         edits: list[tuple[int, int, str, int, Optional[int]]] = []  # edit() arguments
-        attrs = []
+        attrs, replaced = [], ()  # the tag's attributes, and bindings it replaced
         if opens:
-            scope = stack[-1][1] if stack else {}
             own: dict[str, bool] = {}  # the element's xmlns: declarations
             is_math = need_math and (name == "math" or name.endswith(":math"))
             # only the math element's declarations and prefixed keys matter
@@ -573,10 +580,10 @@ def _repair(text: str) -> tuple[str, list[Repair], list[tuple[int, int, int]]]:
                     if attr["key"].startswith("xmlns:"):
                         prefix = attr["key"][6:]
                         own[prefix] = own.get(prefix, False) or _is_mathml(attr["value"], declared)
-                if own:
-                    scope = {**scope, **own}
-            if not text.endswith("/>", start, end):
-                stack.append((name, scope))
+                replaced = [(prefix, scope.get(prefix)) for prefix in own]
+                scope.update(own)
+            if not closes:
+                stack.append((name, replaced))
             # rule 1: the math element declares no default namespace and binds no
             # prefix to MathML; the builder would drop a declaration, so add none
             if is_math:
@@ -584,7 +591,7 @@ def _repair(text: str) -> tuple[str, list[Repair], list[tuple[int, int, int]]]:
                 if all(attr["key"] != "xmlns" for attr in attrs) and True not in own.values():
                     edits.append((name_end, name_end, "", 0, start))
         else:
-            opened, scope = stack.pop() if stack else (None, {})
+            opened, replaced = stack.pop() if stack else (None, ())
 
         # rule 3: drop namespace prefixes bound (or assumed bound) to MathML;
         # an end tag's repair counts only when it differs from its start tag
@@ -608,6 +615,8 @@ def _repair(text: str) -> tuple[str, list[Repair], list[tuple[int, int, int]]]:
             prefix, colon, local = key.partition(":")
             if colon and _mathml_bound(prefix, local, scope):
                 edits.append((key_pos, key_pos + len(key), local, 2, key_pos))
+        if closes:  # judged in the element's scope, the tag restores its parent's
+            _unbind(scope, replaced)
 
         if text.find("&", start, end) >= 0:  # rule 2 inside the tag
             for entity in _ENTITY_RE.finditer(text, start, end):
@@ -695,13 +704,14 @@ class _Builder:
     namespace violation in preorder (a math element that declares no default
     namespace only if ``strict``) is recorded in ``violation`` rather than
     raised, so that a later well-formedness error still takes precedence.
-    Both modes judge namespaces alike: the lenient repair scan has already
-    rewritten what it repairs, and what it cannot see, such as an entity's
-    expansion, is judged here as in strict mode."""
+    Both modes judge namespaces alike, in one prefix table that each element
+    restores as it closes: the repair scan has rewritten what it repairs, and
+    what it cannot see, such as an entity's expansion, is judged here."""
 
     def __init__(self, strict: bool):
         self._strict = strict
-        # per open element: [name, attributes, text parts, children, prefix scope, handle]
+        self._scope = {"xml": _XML_NS}  # prefix -> URI, for the open elements
+        # per open element: [name, attributes, text parts, children, replaced bindings, handle]
         self._stack: list[list] = []
         self.nodes: list[Optional[MathNode]] = []  # None until the element closes
         self.violation: Optional[str] = None
@@ -711,24 +721,23 @@ class _Builder:
         if len(stack) >= MAX_DEPTH:
             raise MalformedInput(f"elements nested deeper than {MAX_DEPTH} levels")
         keys, values = attrs[0::2], attrs[1::2]
-        scope = stack[-1][4] if stack else _XML_SCOPE
         if stack and ":" not in name and "xmlns" not in keys and ":" not in "".join(keys):
-            # below the root, with no prefix and no declaration: nothing to
-            # judge or drop, and the children see the parent's scope
-            pairs = list(zip(keys, values))
+            # below the root, no prefix and no declaration: nothing to judge, bind or drop
+            pairs, replaced = list(zip(keys, values)), ()
         else:
             pairs = [pair for pair in zip(keys, values) if pair != ("xmlns", MATHML_NS)]
-            if self.violation is None:
-                if any(key.startswith("xmlns:") for key in keys):
-                    scope = dict(scope)
+            replaced = [(k[6:], self._scope.get(k[6:])) for k in keys if k.startswith("xmlns:")]
+            if self.violation is None:  # the judge binds the declarations in place
                 self.violation = _namespace_violation(
-                    name, keys, values, scope, self._strict and not stack)
+                    name, keys, values, self._scope, self._strict and not stack)
         nodes = self.nodes
-        stack.append([name, pairs, [], [], scope, len(nodes)])
+        stack.append([name, pairs, [], [], replaced, len(nodes)])
         nodes.append(None)
 
     def end(self, _name):
-        name, pairs, text_parts, children, _, handle = self._stack.pop()
+        name, pairs, text_parts, children, replaced, handle = self._stack.pop()
+        if replaced:
+            _unbind(self._scope, replaced)
         text = "".join(text_parts).strip(" \t\r\n")
         node = _node(name, tuple(pairs), text or None, tuple(children))
         self.nodes[handle] = node

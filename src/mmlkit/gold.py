@@ -92,7 +92,7 @@ def load_gold(text: str) -> list[GoldEntry]:
     """
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, a huge int, too deep a nesting
         raise SchemaError(f"not valid JSON: {exc}") from None
     if not isinstance(data, list):
         raise SchemaError("gold collection must be a JSON array")

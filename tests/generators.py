@@ -372,6 +372,32 @@ def _predefined_refs(rng: random.Random, text: str) -> str:
     return text
 
 
+def _rebind(rng: random.Random, text: str) -> str:
+    """Bind the prefix ``r`` on the first start tag, or not, and bind it
+    again on a later one, each to MathML or to another URI; then use ``r``
+    after that start tag: on a later start tag, or in an element after a
+    later end tag other than the last, so inside the rebinding element or
+    after it has closed."""
+    tags = list(_TAG_OPEN_RE.finditer(text))
+    if len(tags) < 2:
+        return text
+    first, later = tags[0].end(), rng.choice(tags[1:]).end()
+    outer = rng.choice([f' xmlns:r="{MATHML_NS}"', ' xmlns:r="urn:r"', ""])
+    inner = f' xmlns:r="{rng.choice([MATHML_NS, "urn:r", "urn:s"])}"'
+    text = text[:first] + outer + text[first:later] + inner + text[later:]
+    later += len(outer) + len(inner)
+    if rng.random() < 0.5:
+        spots = [tag.end() for tag in _TAG_OPEN_RE.finditer(text, later)]
+        piece = ' r:a="1"'
+    else:
+        spots = [tag.end() for tag in _TAG_CLOSE_RE.finditer(text, later)][:-1]
+        piece = rng.choice(["<r:mi>x</r:mi>", "<r:mi/>", '<mi r:a="1"/>'])
+    if not spots:
+        return text
+    at = rng.choice(spots)
+    return text[:at] + piece + text[at:]
+
+
 #: Text mutations for robustness tests, each ``(rng, text) -> text``.
 MUTATIONS = {
     "drop-namespace": lambda rng, text: strip_namespace(text),
@@ -398,6 +424,7 @@ MUTATIONS = {
     "same-expanded-name": _same_expanded_name,
     "hidden-entity-declaration": _hidden_entity_declaration,
     "predefined-refs": _predefined_refs,
+    "rebind": _rebind,
 }
 
 

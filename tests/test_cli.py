@@ -193,6 +193,20 @@ def test_dist_refuses_ted_options_before_reading_any_input(invoke, paths, monkey
     assert read == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["gold-validate", "--gold", "JSON"],
+    ["convert", "--converters", "JSON", "--name", "x", "--tex", "y"],
+])
+@pytest.mark.parametrize("text", ["[" * 100_000, "[" + "1" * 5000 + "]"],
+                         ids=["nested-too-deeply", "int-of-too-many-digits"])
+def test_json_that_json_loads_refuses_is_a_schema_error(argv, text, invoke, tmp_path):
+    path = tmp_path / "refused.json"
+    path.write_text(text)
+    code, out, err = invoke([str(path) if arg == "JSON" else arg for arg in argv])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"mml {argv[0]}: error:") and err.count("\n") == 1
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
         "argv,code,fragment", ERROR_CASES,

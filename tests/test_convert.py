@@ -46,6 +46,7 @@ class TestConverterSpec:
         {"timeout": float("nan")},
         {"timeout": float("inf")},
         {"timeout": 10 ** 400},  # more than any float holds
+        {"timeout": 2_147_484},  # more than subprocess can wait, 2**31 - 1 ms
     ])
     def test_field_validation(self, kwargs):
         base = {"name": "t", "command": "tool {input}"}
@@ -200,11 +201,18 @@ class TestLoadConverters:
         ('[{"name": "t", "command": "tool {input}", "timeout_ms": Infinity}]', "timeout_ms"),
         ('[{"name": "t", "command": "tool {input}", "timeout_ms": 1%s}]' % ("0" * 400),
          "timeout_ms"),
+        ('[{"name": "t", "command": "tool {input}", "timeout_ms": 1e10}]', "timeout_ms"),
         ('[{"name": "t", "command": "tool"}]', "placeholder"),
     ])
     def test_schema_errors(self, text, pattern):
         with pytest.raises(SchemaError, match=pattern):
             load_converters(text, ConverterRegistry())
+
+    def test_longest_timeout_is_accepted(self):
+        text = '[{"name": "t", "command": "tool {input}", "timeout_ms": 2147483647}]'
+        timeout = load_converters(text, ConverterRegistry()).get("t").timeout
+        assert timeout == 2147483.647
+        assert ConverterSpec("t", "tool {input}", timeout=timeout).timeout == timeout
 
     def test_duplicate_across_load(self):
         registry = ConverterRegistry()
