@@ -134,10 +134,12 @@ _UNDEFINED_ENTITY = xml.parsers.expat.errors.codes[
 class MathNode:
     """One XML element: local name, ordered attributes, text, children.
 
-    Mixed content is normalized at construction time upstream: ``text`` holds
-    the concatenation of the element's character-data segments with
-    surrounding whitespace trimmed, or ``None`` when nothing remains.
-    Equality and hashing are structural and iterative.
+    ``text`` holds the concatenation of the element's character-data
+    segments, stripped of the spaces, tabs, carriage returns and line feeds
+    around it, or ``None`` when nothing remains.  The parser applies that
+    rule, and so does the constructor to the text it is given, so a hand-built
+    node serializes to text that parses back to an equal node.  Equality and
+    hashing are structural and iterative.
     """
 
     name: str
@@ -153,6 +155,8 @@ class MathNode:
             attrs = tuple((k, v) for k, v in attrs)
         object.__setattr__(self, "attributes", attrs)
         object.__setattr__(self, "children", tuple(self.children))
+        if self.text is not None:
+            object.__setattr__(self, "text", self.text.strip(" \t\r\n") or None)
         if not self.name or any(c.isspace() for c in self.name):
             raise ValueError(f"invalid element name {self.name!r}")
         keys = [k for k, _ in attrs]
@@ -314,27 +318,27 @@ class MathDoc:
         self._nodes = _nodes or tuple(iter_subtree(root))
         self._parents, self._sizes = _parents_and_sizes(self._nodes)
         ids: dict[str, int] = {}
+        links = []  # (handle, own id or None, target) of each node with an xref
         for handle, node in enumerate(self._nodes):
-            id_value = node.attr("id")
-            if id_value is not None and ids.setdefault(id_value, handle) != handle:
-                raise DuplicateId(id_value)
-
+            own = target = None
+            for key, value in node.attributes:  # one read gives id and xref
+                if key == "id":
+                    own = value
+                elif key == "xref":
+                    target = value
+            if own is not None and ids.setdefault(own, handle) != handle:
+                raise DuplicateId(own)
+            if target is not None:
+                links.append((handle, own, target))
         xref_map: dict[str, int] = {}
         dangling: list[tuple[int, str]] = []
-        for handle, node in enumerate(self._nodes):
-            target = node.attr("xref")
-            if target is None:
-                continue
-            if target in ids:
-                own = node.attr("id")
-                if own is not None:
-                    xref_map[own] = ids[target]
-                    # reverse direction, unless the partner points elsewhere
-                    xref_map.setdefault(target, handle)
-            else:
+        for handle, own, target in links:
+            if target not in ids:
                 dangling.append((handle, target))
-        self._xref_map = xref_map
-        self._dangling = tuple(dangling)
+            elif own is not None:
+                xref_map[own] = ids[target]
+                xref_map.setdefault(target, handle)  # reverse, unless the partner points elsewhere
+        self._xref_map, self._dangling = xref_map, tuple(dangling)
         self._presentation, self._content = self._detect_branches()
 
     def _detect_branches(self) -> tuple[tuple[int, ...], tuple[int, ...]]:

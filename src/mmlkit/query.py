@@ -22,12 +22,15 @@ from .core import MathDoc, MathNode
 from .errors import PathSyntaxError, UnknownName
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9._\-]*")
-_PREDICATE_RE = re.compile(r"\[@([A-Za-z_][A-Za-z0-9._\-:]*)='([^']*)'\]")
+_KEY_RE = re.compile(r"[A-Za-z_][A-Za-z0-9._\-:]*")
+_PREDICATE_RE = re.compile(rf"\[@({_KEY_RE.pattern})='([^']*)'\]")
 
 
 @dataclass(frozen=True)
 class Step:
-    """One location step: an axis, a name test, and attribute predicates."""
+    """One location step: an axis, a name test, and attribute predicates.
+    Only what the selector grammar can write is accepted, so that
+    ``render`` gives text that parses back to the same step."""
 
     axis: str  # "child" or "descendant"
     test: str  # element name or "*"
@@ -36,7 +39,14 @@ class Step:
     def __post_init__(self):
         if self.axis not in ("child", "descendant"):
             raise ValueError(f"unknown axis {self.axis!r}")
+        if self.test != "*" and not _NAME_RE.fullmatch(self.test):
+            raise ValueError(f"invalid name test {self.test!r}")
         object.__setattr__(self, "predicates", tuple(self.predicates))
+        for key, value in self.predicates:
+            if not _KEY_RE.fullmatch(key):
+                raise ValueError(f"invalid predicate key {key!r}")
+            if "'" in value:
+                raise ValueError(f"predicate value {value!r} contains a quote")
 
 
 @dataclass(frozen=True)

@@ -107,19 +107,29 @@ def accumulate(histograms: Iterable[Histogram]) -> Histogram:
     return Histogram(counter)
 
 
+def _l1(a: Histogram, b: Histogram) -> int:
+    """Exact L1 distance over the union of keys."""
+    return sum(abs(a[k] - b[k]) for k in set(a.counts) | set(b.counts))
+
+
 def hist_distance_absolute(a: Histogram, b: Histogram) -> float:
     """L1 distance over the union of keys."""
-    keys = set(a.counts) | set(b.counts)
-    return float(sum(abs(a[k] - b[k]) for k in keys))
+    return float(_l1(a, b))
 
 
 def hist_distance_relative(a: Histogram, b: Histogram) -> float:
     """Absolute L1 distance scaled by the two totals; 0 when both are empty.
-    Bounded by [0, 1]."""
+    Bounded by [0, 1]: ``hist_distance_absolute(a, b)`` divided by the total
+    count, or, for counts too large for a float, the exact quotient of the
+    two integers."""
     denominator = a.total + b.total
     if denominator == 0:
         return 0.0
-    return hist_distance_absolute(a, b) / denominator
+    distance = _l1(a, b)
+    try:
+        return float(distance) / denominator
+    except OverflowError:
+        return distance / denominator
 
 
 def cosine_similarity(a: Histogram, b: Histogram) -> float:
@@ -135,9 +145,14 @@ def cosine_similarity(a: Histogram, b: Histogram) -> float:
     norm_sq_b = sum(c * c for c in b.counts.values())
     if dot == 0:
         return 0.0
-    if dot * dot == norm_sq_a * norm_sq_b:
+    product = norm_sq_a * norm_sq_b
+    if dot * dot == product:
         return 1.0
-    return min(1.0, max(0.0, dot / math.sqrt(norm_sq_a * norm_sq_b)))
+    try:
+        root = math.sqrt(product)
+    except OverflowError:  # past the floats the integer root, of over 500 bits, is as good
+        root = math.isqrt(product)
+    return min(1.0, max(0.0, dot / root))
 
 
 # ---------------------------------------------------------------------------

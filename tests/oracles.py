@@ -5,8 +5,9 @@ expansion plus Hungarian assignment (and tiny brute force) for the earth
 mover's distance, an ancestor-chain matcher for path selection, a recursive
 walk for a document's preorder index, plain recursive rebuilds, which copy
 every node, for canonicalization and cleaning, and ``xml.dom.minidom`` for
-namespace well-formedness.  None of them share code or algorithmic structure
-with the implementations under test.
+namespace well-formedness and for the element tree a parse should build.
+None of them share code or algorithmic structure with the implementations
+under test.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import functools
 import itertools
 import math
 
+import xml.dom.expatbuilder
 import xml.dom.minidom
 import xml.parsers.expat
 
@@ -242,3 +244,32 @@ def namespace_well_formed(text: str) -> bool:
     except (xml.parsers.expat.ExpatError, UnicodeEncodeError):
         return False
     return True
+
+
+MATHML_DECLARATION = ("xmlns", "http://www.w3.org/1998/Math/MathML")
+
+
+def minidom_tree(text: str):
+    """The element tree of ``text`` as ``xml.dom.minidom`` reads it, as
+    nested ``(name, attributes, text, children)`` tuples: each element's
+    ``tagName``; its attributes in document order, less the MathML default
+    namespace declaration; its text and CDATA children joined, then stripped
+    of spaces, tabs, carriage returns and line feeds (``None`` when nothing
+    is left); and its element children.  Namespace processing is off, as in
+    minidom's builder called with ``namespaces=False``, since with it on,
+    minidom lists namespace declarations before the other attributes."""
+    def build(element):
+        attributes = tuple(pair for pair in element.attributes.items()
+                           if pair != MATHML_DECLARATION)
+        parts = [child.data for child in element.childNodes
+                 if child.nodeType in (child.TEXT_NODE, child.CDATA_SECTION_NODE)]
+        children = tuple(build(child) for child in element.childNodes
+                         if child.nodeType == child.ELEMENT_NODE)
+        return element.tagName, attributes, "".join(parts).strip(" \t\r\n") or None, children
+
+    return build(xml.dom.expatbuilder.parseString(text, namespaces=False).documentElement)
+
+
+def node_tree(node):
+    """A :class:`MathNode` tree in the tuple form of :func:`minidom_tree`."""
+    return node.name, node.attributes, node.text, tuple(map(node_tree, node.children))

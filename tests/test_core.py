@@ -875,11 +875,19 @@ class TestSerialization:
     def test_serialize_is_deterministic(self, listing1_doc):
         assert mmlkit.serialize(listing1_doc) == mmlkit.serialize(listing1_doc)
 
-    def test_escaping_round_trips(self):
-        doc = MathDoc(MathNode("math", (), None, (
-            MathNode("mtext", (("data-note", 'a<b&"c'),), "x < y & z"),
-        )))
-        reparsed, report = mmlkit.parse(mmlkit.serialize(doc), "strict")
+    @pytest.mark.parametrize("node", [
+        MathNode("mtext", (("data-note", 'a<b&"c'),), "x < y & z"),
+        # hand-built text is normalized as the parser normalizes text
+        MathNode("mi", (), " x"),
+        MathNode("mi", (), "x\r"),
+        MathNode("mi", (), ""),
+        MathNode("mi", (), "\t"),
+        MathNode("mrow", (), "\n a\rb ", (MathNode("mi", (), "x"), MathNode("mo", (), "+"))),
+    ], ids=["specials", "leading-space", "trailing-cr", "empty", "tab", "text-and-children"])
+    @pytest.mark.parametrize("pretty", [False, True])
+    def test_escaping_round_trips(self, node, pretty):
+        doc = MathDoc(MathNode("math", (), None, (node,)))
+        reparsed, report = mmlkit.parse(mmlkit.serialize(doc, pretty=pretty), "strict")
         assert report.repairs == ()
         assert reparsed == doc
 

@@ -90,6 +90,7 @@ class TestParsePath:
             "//annotation[@encoding='application/x-tex']",
             "//mi | //ci",
             "math//*[@id='p.2']",
+            "_m-i.2//mi[@xlink:href='a|b]/[@c'][@id='']",
         ]:
             query = mmlkit.parse_selector(text)
             assert mmlkit.render(query) == text
@@ -100,6 +101,21 @@ class TestParsePath:
         for _ in range(100):
             query = generators.random_selector(rng)
             assert mmlkit.parse_selector(mmlkit.render(query)) == query
+
+    @pytest.mark.parametrize("test,predicates", [
+        ("m i", ()),                       # renders text that does not parse
+        ("", ()),
+        ("1mi", ()),
+        ("mi[@a='x']", ()),
+        ("mi", (("a", "x']|//*[@b='y"),)),  # renders as a two-path union
+        ("mi", (("a", "it's"),)),
+        ("mi", (("a b", "x"),)),
+        ("mi", (("", "x"),)),
+        ("mi", (("@a", "x"),)),
+    ])
+    def test_step_refuses_what_the_grammar_cannot_write(self, test, predicates):
+        with pytest.raises(ValueError):
+            Step("child", test, predicates)
 
 
 def best_of_3(call):

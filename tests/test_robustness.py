@@ -1,7 +1,12 @@
-"""Inputs at the edges: nesting depth, non-UTF-8 files, mutated documents."""
+"""Inputs at the edges: nesting depth, non-UTF-8 files, mutated documents,
+generated command lines."""
 
+import io
+import json
+import os
 import random
 import re
+import tempfile
 import xml.parsers.expat
 from operator import is_
 
@@ -235,6 +240,18 @@ def test_strict_mode_accepts_only_namespace_well_formed_xml(seed, kinds):
     assert oracles.namespace_well_formed(text)
 
 
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), kinds=mutation_lists)
+def test_strict_mode_builds_the_tree_minidom_reads(seed, kinds):
+    text = mutated_text(seed, kinds)
+    try:
+        doc, _ = mmlkit.parse(text, "strict")
+        expected = oracles.minidom_tree(text)
+    except (MmlError, xml.parsers.expat.ExpatError):
+        return
+    assert oracles.node_tree(doc.root) == expected
+
+
 #: What strict mode adds to Namespaces in XML: the depth limit, the MathML
 #: rules, and an entity that expat skips under an external subset.
 MATHML_RULES = re.compile(
@@ -291,3 +308,94 @@ def test_error_positions_in_unrepaired_input_are_expats(seed, kinds):
         return  # in a value, expat gives the tag's place and parse the entity's
     assert message == (f"not well-formed XML: {xml.parsers.expat.ErrorString(error.code)}: "
                        f"line {error.lineno}, column {error.offset}")
+
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+documents = st.builds(mutated_text, seeds, mutation_lists)
+selector_text = st.one_of(
+    st.builds(lambda seed: mmlkit.render(generators.random_selector(random.Random(seed))), seeds),
+    st.text(max_size=30))
+#: What the files of a CLI run hold: documents, bytes that need not be UTF-8,
+#: JSON nested deeper than ``json.loads`` recurses, JSON holding an integer
+#: too long to convert, a gold collection, and selector text.
+file_contents = st.one_of(
+    documents,
+    st.binary(max_size=64),
+    st.integers(min_value=1, max_value=100_000).map(lambda depth: "[" * depth),
+    st.integers(min_value=4_000, max_value=5_000).map(lambda digits: f"[{'9' * digits}]"),
+    documents.map(lambda text: json.dumps([{"id": 1, "tex": "a", "mathml": text}])),
+    selector_text,
+)
+#: File arguments: the run writes three files; a tenth of the arguments name none.
+FILE_NAMES = ("file0", "file1", "file2")
+FILES = st.sampled_from(FILE_NAMES * 3 + ("missing",))
+MODE = st.sampled_from(["--strict", "--lenient"])
+BRANCHES = st.sampled_from(["presentation", "content", "both", ""])
+MEASURES = st.sampled_from(["ted", "hist-abs", "hist-rel", "emd", "cosine", "l2"])
+HISTOGRAM_FLAGS = (("--scope", st.sampled_from(["whole", "presentation", "content", "all"])),
+                   ("--include-structural", None))
+#: Per subcommand: the flags it requires, then the others, each with a
+#: strategy for its value (``None`` for a switch).
+COMMAND_FLAGS = {
+    "parse": ((), (("--pretty", None),)),
+    "clean": ((("--features", st.sampled_from([
+        "cross-references,annotations", "content_branch", "presentation-branch", ",", "x"])),),
+              (("--pretty", None),)),
+    "split": ((("--branch", BRANCHES),), (("--pretty", None),)),
+    "extract": ((), (("--branch", BRANCHES),)),
+    "select": ((("--expr", selector_text),), (("--lib", st.sampled_from(
+        ["all-identifiers", "tex-annotation", "content-root", "no-such-entry"])),)),
+    "histogram": ((), HISTOGRAM_FLAGS),
+    "dist": ((("--measure", MEASURES),), HISTOGRAM_FLAGS + (
+        ("--costs", st.sampled_from(["1,1,1", "1,1,0.5", "nan,1,1", "-1,0,0", "1e400,1,1", "1"])),
+        ("--label-mode", st.sampled_from(["name", "name-text", "text"])))),
+    "doc-dist": ((("--measure", MEASURES), ("-a", FILES), ("-b", FILES)), HISTOGRAM_FLAGS),
+    "convert": ((("--name", st.sampled_from(["identity", "echo-frac", "fail", "garbage", "x"])),),
+                (("--pretty", None), ("--converters", FILES), ("--tex", selector_text))),
+    "gold-validate": ((("--gold", FILES),), ()),
+}
+#: How many file arguments each subcommand takes.
+FILE_COUNTS = {"dist": st.just(2), "doc-dist": st.just(0), "gold-validate": st.just(0),
+               "convert": st.integers(min_value=0, max_value=1)}
+
+
+@st.composite
+def cli_runs(draw):
+    """File contents and an argument vector for ``cli.run``: a subcommand,
+    its required flags (one in ten left out), some other flags (repeats and
+    a mode switch included), and file arguments, now and then one too many
+    or an unknown flag."""
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    required, optional = COMMAND_FLAGS[command]
+    flags = [flag for flag in required if draw(st.integers(min_value=0, max_value=9))]
+    flags += draw(st.lists(st.sampled_from(optional), max_size=3)) if optional else []
+    argv = [command]
+    for flag, values in flags:
+        argv += [flag] if values is None else [flag, draw(values)]
+    if command not in ("convert", "gold-validate"):
+        argv += draw(st.lists(MODE, max_size=2))
+    count = draw(FILE_COUNTS.get(command, st.integers(min_value=1, max_value=3)))
+    argv += [draw(FILES) for _ in range(count)]
+    argv += draw(st.sampled_from([[]] * 18 + [["--help"], ["file0"]]))
+    return draw(st.lists(file_contents, min_size=3, max_size=3)), argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(run=cli_runs())
+def test_every_cli_run_ends_in_an_exit_status(run):
+    contents, argv = run
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as directory:
+        for name, content in zip(FILE_NAMES, contents):
+            path = os.path.join(directory, name)
+            if isinstance(content, bytes):
+                with open(path, "wb") as handle:
+                    handle.write(content)
+            else:
+                with open(path, "w", encoding="utf-8", errors="surrogatepass") as handle:
+                    handle.write(content)
+        files = {name: os.path.join(directory, name) for name in FILE_NAMES + ("missing",)}
+        status = cli.run([files.get(token, token) for token in argv], out, err)
+    assert status in (0, 1, 2)
+    if status:
+        assert any(line.startswith("mml") for line in err.getvalue().splitlines()), err.getvalue()

@@ -145,6 +145,14 @@ class TestHistogramDistances:
             disjoint = not (set(a.counts) & set(b.counts))
             assert (value == 1) == disjoint
 
+    def test_relative_holds_counts_too_large_for_a_float(self):
+        huge = 10 ** 400
+        assert mmlkit.hist_distance_relative(Histogram({"x": huge}), Histogram({"y": 1})) == 1.0
+        assert mmlkit.hist_distance_relative(
+            Histogram({"x": huge, "y": huge}), Histogram({"x": huge})) == 1 / 3
+        assert mmlkit.hist_distance_relative(
+            Histogram({"x": 3 * huge}), Histogram({"x": huge})) == 0.5
+
 
 class TestCosine:
     def test_identity_is_exactly_one(self):
@@ -167,6 +175,15 @@ class TestCosine:
             Histogram({"mfrac": 1, "mi": 2}), Histogram({"mi": 3})
         )
         assert value == pytest.approx(2 / math.sqrt(5), abs=1e-12)
+
+    def test_counts_too_large_for_a_float(self):
+        big = 10 ** 80
+        value = mmlkit.cosine_similarity(
+            Histogram({"x": big, "y": 1}), Histogram({"x": 1, "y": big}))
+        assert value == pytest.approx(2 / big, rel=1e-12)
+        value = mmlkit.cosine_similarity(
+            Histogram({"x": 10 * big, "y": big}), Histogram({"x": big}))
+        assert value == pytest.approx(10 / math.sqrt(101), rel=1e-12)
 
     def test_bounds(self):
         rng = random.Random(83)
