@@ -138,8 +138,9 @@ class MathNode:
     segments, stripped of the spaces, tabs, carriage returns and line feeds
     around it, or ``None`` when nothing remains.  The parser applies that
     rule, and so does the constructor to the text it is given, so a hand-built
-    node serializes to text that parses back to an equal node.  Equality and
-    hashing are structural and iterative.
+    node serializes to text that parses back to an equal node; a text that
+    is not a string is a ``TypeError``.  Equality and hashing are structural
+    and iterative.
     """
 
     name: str
@@ -156,6 +157,8 @@ class MathNode:
         object.__setattr__(self, "attributes", attrs)
         object.__setattr__(self, "children", tuple(self.children))
         if self.text is not None:
+            if not isinstance(self.text, str):
+                raise TypeError(f"text of element {self.name!r} must be a string")
             object.__setattr__(self, "text", self.text.strip(" \t\r\n") or None)
         if not self.name or any(c.isspace() for c in self.name):
             raise ValueError(f"invalid element name {self.name!r}")
@@ -321,7 +324,7 @@ class MathDoc:
         links = []  # (handle, own id or None, target) of each node with an xref
         for handle, node in enumerate(self._nodes):
             own = target = None
-            for key, value in node.attributes:  # one read gives id and xref
+            for key, value in node.attributes:
                 if key == "id":
                     own = value
                 elif key == "xref":
@@ -337,8 +340,10 @@ class MathDoc:
                 dangling.append((handle, target))
             elif own is not None:
                 xref_map[own] = ids[target]
-                xref_map.setdefault(target, handle)  # reverse, unless the partner points elsewhere
-        self._xref_map, self._dangling = xref_map, tuple(dangling)
+                # reverse direction, unless the partner points elsewhere
+                xref_map.setdefault(target, handle)
+        self._xref_map = xref_map
+        self._dangling = tuple(dangling)
         self._presentation, self._content = self._detect_branches()
 
     def _detect_branches(self) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -119,17 +119,12 @@ def hist_distance_absolute(a: Histogram, b: Histogram) -> float:
 
 def hist_distance_relative(a: Histogram, b: Histogram) -> float:
     """Absolute L1 distance scaled by the two totals; 0 when both are empty.
-    Bounded by [0, 1]: ``hist_distance_absolute(a, b)`` divided by the total
-    count, or, for counts too large for a float, the exact quotient of the
-    two integers."""
+    Bounded by [0, 1]: the exact integer L1 distance divided by the total
+    count, one correctly rounded division that holds counts of any size."""
     denominator = a.total + b.total
     if denominator == 0:
         return 0.0
-    distance = _l1(a, b)
-    try:
-        return float(distance) / denominator
-    except OverflowError:
-        return distance / denominator
+    return _l1(a, b) / denominator
 
 
 def cosine_similarity(a: Histogram, b: Histogram) -> float:

@@ -813,6 +813,8 @@ class TestModel:
             MathNode("bad name")
         with pytest.raises(ValueError):
             MathNode("mi", (("k", "1"), ("k", "2")))
+        with pytest.raises(TypeError, match="text of element 'mn' must be a string"):
+            MathNode("mn", (), 5)
 
     def test_node_accepts_mapping_attributes(self):
         node = MathNode("mi", {"id": "a"}, "x")
