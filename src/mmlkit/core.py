@@ -11,8 +11,9 @@ Parsing is fault tolerant on demand: lenient mode first repairs the raw text
 dropping) in one forward scan and records every repair.  The scan skips
 comments, CDATA, processing instructions and declarations, and judges a prefix
 by the ``xmlns:`` declarations in scope, as strict mode does: each pass keeps
-one prefix table, restored as each element closes.  Errors give line, column
-and position in the original input, also after a repair rewrote it.
+one prefix table, restored as each element closes.  The scan reads the UTF-8
+bytes that expat reads, so every offset counts bytes; errors give line and
+column in the original input, also after a repair rewrote it.
 
 The XML parser's handlers build each element's :class:`MathNode` exactly
 once, when the element closes, through :func:`_node`, which skips the public
@@ -62,7 +63,7 @@ _REPAIR_KINDS = (
     REPAIR_NAMESPACE_INSERTED, REPAIR_ENTITY_REPLACED, REPAIR_ATTRIBUTE_NAMESPACE_DROPPED)
 
 #: XML's predefined entities; these are left for the XML parser itself.
-_PREDEFINED_ENTITIES = {"amp", "lt", "gt", "quot", "apos"}
+_PREDEFINED_ENTITIES = {b"amp", b"lt", b"gt", b"quot", b"apos"}
 
 #: The namespaces Namespaces in XML reserves for the ``xml`` and ``xmlns`` prefixes;
 #: no other prefix, and not the default namespace, may be bound to either.
@@ -93,11 +94,11 @@ CONTENT_ELEMENTS = frozenset("""
     xor
 """.split())
 
-#: A name character for the repair scan: any XML name character, no other ASCII.
-_NAME_CHAR = r"[-.:0-9A-Z_a-z\x80-\U0010ffff]"
-_ENTITY_RE = re.compile(rf"&({_NAME_CHAR}+);")
+#: A name byte for the repair scan: any byte of an XML name character, no other ASCII.
+_NAME_CHAR = rb"[-.:0-9A-Z_a-z\x80-\xff]"
+_ENTITY_RE = re.compile(rb"&(%s+);" % _NAME_CHAR)
 _ATTR_RE = re.compile(
-    rf"(?P<key>{_NAME_CHAR}+)\s*=\s*(?P<quote>[\"'])(?P<value>.*?)(?P=quote)", re.S
+    rb"(?P<key>%s+)\s*=\s*(?P<quote>[\"'])(?P<value>.*?)(?P=quote)" % _NAME_CHAR, re.S
 )
 #: One markup construct, or a named entity reference outside markup.
 #: Comments, CDATA sections, processing instructions and declarations match
@@ -105,22 +106,22 @@ _ATTR_RE = re.compile(
 #: has a group, its body.  A start tag runs to the first ``>`` outside quotes,
 #: a declaration to the first outside quotes and its internal subset.
 _TOKEN_RE = re.compile(
-    r"&(?P<entity>[A-Za-z][A-Za-z0-9]*);"
-    r"|<(?:!--.*?(?:-->|\Z)|!\[CDATA\[.*?(?:\]\]>|\Z)|\?(?:>|.*?(?:\?>|\Z))"
-    r"|!(?P<declaration>(?:[^>\[\"']+|\"[^\"]*\"?|'[^']*'?|\[(?:<!--.*?(?:-->|\Z)"
-    r"|[^\]\"'<]+|<|\"[^\"]*\"?|'[^']*'?)*\]?)*)>?)"
-    rf"|</(?P<end>{_NAME_CHAR}*)[^>]*>?"
-    rf"|<(?P<start>{_NAME_CHAR}*)(?:[^>\"']+|\"[^\"]*\"?|'[^']*'?)*>?",
+    rb"&(?P<entity>[A-Za-z][A-Za-z0-9]*);"
+    rb"|<(?:!--.*?(?:-->|\Z)|!\[CDATA\[.*?(?:\]\]>|\Z)|\?(?:>|.*?(?:\?>|\Z))"
+    rb"|!(?P<declaration>(?:[^>\[\"']+|\"[^\"]*\"?|'[^']*'?|\[(?:<!--.*?(?:-->|\Z)"
+    rb"|[^\]\"'<]+|<|\"[^\"]*\"?|'[^']*'?)*\]?)*)>?)"
+    rb"|</(?P<end>%s*)[^>]*>?"
+    rb"|<(?P<start>%s*)(?:[^>\"']+|\"[^\"]*\"?|'[^']*'?)*>?" % (_NAME_CHAR, _NAME_CHAR),
     re.S,
 )
 #: A general entity declaration, or a comment, processing instruction or
 #: literal of a DOCTYPE, where ``<!ENTITY`` declares nothing (group 1 empty).
 _ENTITY_DECLARATION_RE = re.compile(
-    r"<!--.*?(?:-->|\Z)|<\?.*?(?:\?>|\Z)|\"[^\"]*\"?|'[^']*'?"
-    r"|<!ENTITY\s+([A-Za-z][A-Za-z0-9]*)\s", re.S)
+    rb"<!--.*?(?:-->|\Z)|<\?.*?(?:\?>|\Z)|\"[^\"]*\"?|'[^']*'?"
+    rb"|<!ENTITY\s+([A-Za-z][A-Za-z0-9]*)\s", re.S)
 #: Text up to the last ``:`` or the last ``&`` that may start a repair: a
 #: character reference or predefined entity is never rewritten.
-_LAST_REPAIRABLE_RE = re.compile(r".*(?::|&(?!#|(?:amp|lt|gt|quot|apos);))", re.S)
+_LAST_REPAIRABLE_RE = re.compile(rb".*(?::|&(?!#|(?:amp|lt|gt|quot|apos);))", re.S)
 _LINE_BREAK_RE = re.compile(r"\r\n?|\n")  # as expat counts lines
 _UNDEFINED_ENTITY = xml.parsers.expat.errors.codes[
     xml.parsers.expat.errors.XML_ERROR_UNDEFINED_ENTITY]
@@ -475,34 +476,34 @@ class MathDoc:
 
 
 # ---------------------------------------------------------------------------
-# lenient repair pipeline (runs on the raw text, before XML parsing)
+# lenient repair pipeline (runs on the UTF-8 input, before XML parsing)
 # ---------------------------------------------------------------------------
 
-def _char_refs(name: str, declared: set[str]) -> Optional[str]:
+def _char_refs(name: bytes, declared: set[bytes]) -> Optional[bytes]:
     """Character references for a named entity the document does not
     declare (XML's predefined entities count as declared), else None."""
-    expansion = None if name in declared else _HTML5_ENTITIES.get(name + ";")
-    return expansion and "".join(f"&#{ord(c)};" for c in expansion)
+    expansion = None if name in declared else _HTML5_ENTITIES.get(name.decode() + ";")
+    return expansion and b"".join(b"&#%d;" % ord(c) for c in expansion)
 
 
-def _mathml_bound(prefix: str, local: str, scope: dict[str, bool]) -> bool:
+def _mathml_bound(prefix: bytes, local: bytes, scope: dict[bytes, bool]) -> bool:
     """Whether the prefix of the name ``prefix:local`` names MathML in
     ``scope``; undeclared ones are taken as an elided MathML binding.  A
     name with an empty local part or a second colon is no qualified name
     and keeps its prefix."""
-    return (local != "" and ":" not in local and prefix != "xml" and prefix != "xmlns"
+    return (local != b"" and b":" not in local and prefix != b"xml" and prefix != b"xmlns"
             and scope.get(prefix, True))
 
 
-def _is_mathml(value: str, declared: set[str]) -> bool:
+def _is_mathml(value: bytes, declared: set[bytes]) -> bool:
     """Whether a raw attribute value names MathML once expat has resolved its
     references; one to an entity the DOCTYPE declares is left to
     :func:`_namespace_violation`, which rules on what expat made of it."""
     referred = set(_ENTITY_RE.findall(value)) - _PREDEFINED_ENTITIES
-    return unescape(value) == MATHML_NS and not referred & declared
+    return unescape(value.decode()) == MATHML_NS and not referred & declared
 
 
-def _unbind(scope: dict, replaced: Iterable[tuple[str, object]]) -> None:
+def _unbind(scope: dict, replaced: Iterable[tuple]) -> None:
     """Restore a prefix table's ``(prefix, previous binding or None)`` pairs."""
     for prefix, previous in replaced:
         if previous is None:
@@ -511,8 +512,8 @@ def _unbind(scope: dict, replaced: Iterable[tuple[str, object]]) -> None:
             scope[prefix] = previous
 
 
-def _repair(text: str) -> tuple[str, list[Repair], list[tuple[int, int, int]]]:
-    """Apply the three leniency rules in one forward scan over ``text``.
+def _repair(text: bytes) -> tuple[bytes, list[Repair], list[tuple[int, int, int]]]:
+    """Apply the three leniency rules in one forward scan over UTF-8 ``text``.
 
     Returns the rewritten text, the repairs (rule 1, rule 2, then rule 3,
     each located by byte offset into ``text``) and the offset map for
@@ -528,24 +529,20 @@ def _repair(text: str) -> tuple[str, list[Repair], list[tuple[int, int, int]]]:
     of those inside the token, so no later token is rewritten, and the rest
     of the text is copied as it stands.
     """
-    out: list[str] = []  # chunks of the repaired text
+    out: list[bytes] = []  # chunks of the repaired text
     marks: list[tuple[int, int, int]] = []
     found: tuple[list[Repair], ...] = ([], [], [])  # per rule
     copied = 0  # text[:copied] is accounted for in out
-    located = located_bytes = 0  # the UTF-8 length of text[:located]
-    scope: dict[str, bool] = {}  # prefix -> bound to MathML, for the open elements
-    stack: list[tuple[str, Iterable]] = []  # (raw name, bindings replaced) per open element
+    scope: dict[bytes, bool] = {}  # prefix -> bound to MathML, for the open elements
+    stack: list[tuple[bytes, Iterable]] = []  # (raw name, bindings replaced) per open element
     declared = set(_PREDEFINED_ENTITIES)
     need_math = True
 
-    def edit(start: int, end: int, replacement: str, rule: int, at: Optional[int]) -> None:
+    def edit(start: int, end: int, replacement: bytes, rule: int, at: Optional[int]) -> None:
         # edits arrive in order of start, and none begins before the last ends
-        nonlocal copied, located, located_bytes
-        if at is not None:  # never before an earlier repair's location
-            # a lone surrogate has no UTF-8 form; expat rejects the input later
-            located_bytes += len(text[located:at].encode("utf-8", "surrogatepass"))
-            located = at
-            found[rule].append(Repair(_REPAIR_KINDS[rule], located_bytes))
+        nonlocal copied
+        if at is not None:
+            found[rule].append(Repair(_REPAIR_KINDS[rule], at))
         out.append(text[copied:start])
         if text.endswith(replacement, start, end):  # a dropped prefix
             marks.append((start, end - len(replacement), 0))
@@ -576,17 +573,17 @@ def _repair(text: str) -> tuple[str, list[Repair], list[tuple[int, int, int]]]:
         name_pos = token.start(kind)
         name_end = name_pos + len(name)
         opens = kind == "start"
-        closes = not opens or text.endswith("/>", start, end)
-        edits: list[tuple[int, int, str, int, Optional[int]]] = []  # edit() arguments
+        closes = not opens or text.endswith(b"/>", start, end)
+        edits: list[tuple[int, int, bytes, int, Optional[int]]] = []  # edit() arguments
         attrs, replaced = [], ()  # the tag's attributes, and bindings it replaced
         if opens:
-            own: dict[str, bool] = {}  # the element's xmlns: declarations
-            is_math = need_math and (name == "math" or name.endswith(":math"))
+            own: dict[bytes, bool] = {}  # the element's xmlns: declarations
+            is_math = need_math and (name == b"math" or name.endswith(b":math"))
             # only the math element's declarations and prefixed keys matter
-            if is_math or text.find(":", name_end, end) >= 0:
+            if is_math or text.find(b":", name_end, end) >= 0:
                 attrs = list(_ATTR_RE.finditer(text, name_end, end))
                 for attr in attrs:
-                    if attr["key"].startswith("xmlns:"):
+                    if attr["key"].startswith(b"xmlns:"):
                         prefix = attr["key"][6:]
                         own[prefix] = own.get(prefix, False) or _is_mathml(attr["value"], declared)
                 replaced = [(prefix, scope.get(prefix)) for prefix in own]
@@ -597,37 +594,37 @@ def _repair(text: str) -> tuple[str, list[Repair], list[tuple[int, int, int]]]:
             # prefix to MathML; the builder would drop a declaration, so add none
             if is_math:
                 need_math = False
-                if all(attr["key"] != "xmlns" for attr in attrs) and True not in own.values():
-                    edits.append((name_end, name_end, "", 0, start))
+                if all(attr["key"] != b"xmlns" for attr in attrs) and True not in own.values():
+                    edits.append((name_end, name_end, b"", 0, start))
         else:
             opened, replaced = stack.pop() if stack else (None, ())
 
         # rule 3: drop namespace prefixes bound (or assumed bound) to MathML;
         # an end tag's repair counts only when it differs from its start tag
-        prefix, colon, local = name.partition(":")
+        prefix, colon, local = name.partition(b":")
         if colon and _mathml_bound(prefix, local, scope):
             at = start if opens or name != opened else None
             edits.append((name_pos, name_end, local, 2, at))
         for attr in attrs:
             key, key_pos = attr["key"], attr.start()
-            if key.startswith("xmlns:"):
+            if key.startswith(b"xmlns:"):
                 if _is_mathml(attr["value"], declared):
                     # take the whitespace before the declaration along only
                     # where whitespace, "/", ">" or the end of input (an
                     # empty slice) follows
                     cut = key_pos
-                    if text[attr.end():attr.end() + 1] in " \t\r\n/>":
-                        while cut > 0 and text[cut - 1] in " \t\r\n":
+                    if text[attr.end():attr.end() + 1] in b" \t\r\n/>":
+                        while cut > 0 and text[cut - 1] in b" \t\r\n":
                             cut -= 1
-                    edits.append((cut, attr.end(), "", 2, key_pos))
+                    edits.append((cut, attr.end(), b"", 2, key_pos))
                 continue
-            prefix, colon, local = key.partition(":")
+            prefix, colon, local = key.partition(b":")
             if colon and _mathml_bound(prefix, local, scope):
                 edits.append((key_pos, key_pos + len(key), local, 2, key_pos))
         if closes:  # judged in the element's scope, the tag restores its parent's
             _unbind(scope, replaced)
 
-        if text.find("&", start, end) >= 0:  # rule 2 inside the tag
+        if text.find(b"&", start, end) >= 0:  # rule 2 inside the tag
             for entity in _ENTITY_RE.finditer(text, start, end):
                 refs = _char_refs(entity.group(1), declared)
                 if refs is not None:
@@ -639,11 +636,11 @@ def _repair(text: str) -> tuple[str, list[Repair], list[tuple[int, int, int]]]:
                 edit(*args)
 
     out.append(text[copied:])
-    return "".join(out), sum(found, []), marks
+    return b"".join(out), sum(found, []), marks
 
 
 def _original_index(marks: list[tuple[int, int, int]], index: int) -> int:
-    """The index in the original text of ``index`` in the repaired text: a
+    """The offset in the original text of ``index`` in the repaired text: a
     position inside a replacement maps to the start of what it replaced."""
     shift = 0  # length change made by the edits before ``index``
     for start, end, size in marks:
@@ -772,39 +769,44 @@ def parse(text: str, mode: str = "lenient") -> tuple[MathDoc, ParseReport]:
     prefix, gets strict mode's message in lenient mode too.
     Both modes reject an undeclared entity that the XML parser would skip
     because the DOCTYPE names an external subset, which it does not read,
+    and a reference to an external entity, which it does not read either,
     and report an undefined entity in an attribute value at the entity.
+    Attribute defaults that a DOCTYPE declares are not applied.  A lone
+    surrogate, which has no UTF-8 form, is refused before anything else.
     """
     if mode not in ("strict", "lenient"):
         raise ValueError(f"unknown parse mode {mode!r}")
     if not text or text.isspace():
         raise MalformedInput("empty input")
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as exc:  # a lone surrogate
+        raise MalformedInput(f"unparseable input: {exc}") from None
 
     repairs: list[Repair] = []
-    work, marks = text, []
+    work, marks = data, []
     if mode == "lenient":
-        work, repairs, marks = _repair(text)
+        work, repairs, marks = _repair(data)
 
-    parser = xml.parsers.expat.ParserCreate()  # namespace processing off
+    parser = xml.parsers.expat.ParserCreate("utf-8")  # no namespace processing, and UTF-8 always
     parser.ordered_attributes = True
+    parser.specified_attributes = True  # no attribute defaults from the DTD
     parser.buffer_text = True
     builder = _Builder(mode == "strict")
     parser.StartElementHandler = builder.start
     parser.EndElementHandler = builder.end
     parser.CharacterDataHandler = builder.chars
-    declared = set(_PREDEFINED_ENTITIES)  # general entities
+    declared = dict.fromkeys(_PREDEFINED_ENTITIES, False)  # general entity -> external
 
-    def entity(name, is_parameter_entity, *_) -> None:
+    def entity(name, is_parameter_entity, _value, _base, system_id, *_) -> None:
         if not is_parameter_entity:
-            declared.add(name)
+            declared[name.encode()] = system_id is not None
 
     parser.EntityDeclHandler = entity
 
-    def where(at: int) -> str:  # the one locator; ``at`` indexes the parsed text
-        lines = _LINE_BREAK_RE.split(text[:_original_index(marks, at)])
+    def where(at: int) -> str:  # the one locator; ``at`` is a byte offset into the parsed text
+        lines = _LINE_BREAK_RE.split(data[:_original_index(marks, at)].decode("utf-8"))
         return f"line {len(lines)}, column {len(lines[-1])}"
-
-    def index(byte_index: int) -> int:  # of expat's byte offset into the parsed text
-        return len(work.encode("utf-8")[:byte_index].decode("utf-8"))
 
     def undefined(tags: Iterable[Optional[re.Match]]) -> Optional[re.Match]:
         """The first entity reference in a start tag among ``tags`` that is
@@ -816,13 +818,21 @@ def parse(text: str, mode: str = "lenient") -> tuple[MathDoc, ParseReport]:
     def skipped(name: str, _is_parameter_entity: bool) -> None:
         # expat skips, rather than rejects, an undeclared entity when the
         # DOCTYPE names an external subset, which it does not read
-        raise MalformedInput(f"undefined entity &{name};: {where(index(parser.CurrentByteIndex))}")
+        raise MalformedInput(f"undefined entity &{name};: {where(parser.CurrentByteIndex)}")
+
+    def external_ref(context: str, *_) -> None:
+        # ``context`` names the open entities, in no fixed order; only the
+        # one referred to is external, since no external entity is ever read
+        name = next(name for name in context.split("\f") if declared[name.encode()])
+        raise MalformedInput(f"external entity &{name}; is not read: "
+                             f"{where(parser.CurrentByteIndex)}")
 
     parser.SkippedEntityHandler = skipped
+    parser.ExternalEntityRefHandler = external_ref
     try:
         parser.Parse(work, True)
     except xml.parsers.expat.ExpatError as exc:
-        at = index(parser.ErrorByteIndex)
+        at = parser.ErrorByteIndex
         if exc.code == _UNDEFINED_ENTITY:  # in a value, expat gives the tag's place
             ref = undefined([_TOKEN_RE.match(work, at)])
             if ref:
@@ -830,16 +840,13 @@ def parse(text: str, mode: str = "lenient") -> tuple[MathDoc, ParseReport]:
         raise MalformedInput(
             f"not well-formed XML: {xml.parsers.expat.ErrorString(exc.code)}: {where(at)}"
         ) from None
-    except UnicodeEncodeError as exc:  # a lone surrogate
-        at = _original_index(marks, exc.start)
-        exc = UnicodeEncodeError(exc.encoding, text, at, at + exc.end - exc.start, exc.reason)
-        raise MalformedInput(f"unparseable input: {exc}") from None
     finally:
-        parser.SkippedEntityHandler = None  # it refers back to the parser
-    if "<!DOCTYPE" in work:  # only then may expat drop an undeclared entity from a value
+        # they refer back to the parser
+        parser.SkippedEntityHandler = parser.ExternalEntityRefHandler = None
+    if b"<!DOCTYPE" in work:  # only then may expat drop an undeclared entity from a value
         ref = undefined(_TOKEN_RE.finditer(work))
         if ref:
-            raise MalformedInput(f"undefined entity &{ref[1]};: {where(ref.start())}")
+            raise MalformedInput(f"undefined entity &{ref[1].decode()};: {where(ref.start())}")
     root = builder.nodes[0]
     if root.name != "math":
         raise MalformedInput(

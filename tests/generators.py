@@ -372,26 +372,40 @@ def _predefined_refs(rng: random.Random, text: str) -> str:
     return text
 
 
+#: A start tag's opening or an end tag, with a name that may have a prefix.
+_QNAME_OPEN_RE = re.compile(r"<[A-Za-z][A-Za-z0-9._\-]*(?::[A-Za-z][A-Za-z0-9._\-]*)?")
+_QNAME_CLOSE_RE = re.compile(r"</[A-Za-z][A-Za-z0-9._\-]*(?::[A-Za-z][A-Za-z0-9._\-]*)?>")
+
+
 def _rebind(rng: random.Random, text: str) -> str:
     """Bind the prefix ``r`` on the first start tag, or not, and bind it
-    again on a later one, each to MathML or to another URI; then use ``r``
-    after that start tag: on a later start tag, or in an element after a
-    later end tag other than the last, so inside the rebinding element or
-    after it has closed."""
-    tags = list(_TAG_OPEN_RE.finditer(text))
+    again on a later tag, each to MathML or to another URI.  The rebinding
+    tag is a start tag already there, or a new ``mi`` or ``r:mi`` element,
+    self-closing or not, put before it.  Then use ``r`` after the rebinding
+    tag: on a later start tag, or in an element after a later end tag other
+    than the last, so inside the rebinding element or after it has closed.
+    Element names may already have a prefix."""
+    tags = list(_QNAME_OPEN_RE.finditer(text))
     if len(tags) < 2:
         return text
-    first, later = tags[0].end(), rng.choice(tags[1:]).end()
+    first, tag = tags[0].end(), rng.choice(tags[1:])
     outer = rng.choice([f' xmlns:r="{MATHML_NS}"', ' xmlns:r="urn:r"', ""])
     inner = f' xmlns:r="{rng.choice([MATHML_NS, "urn:r", "urn:s"])}"'
-    text = text[:first] + outer + text[first:later] + inner + text[later:]
-    later += len(outer) + len(inner)
-    if rng.random() < 0.5:
-        spots = [tag.end() for tag in _TAG_OPEN_RE.finditer(text, later)]
-        piece = ' r:a="1"'
+    name = rng.choice(["", "mi", "r:mi"])
+    if name:  # a new element
+        at, later = tag.start(), tag.start() + 1 + len(name) + len(inner)
+        rebinding = rng.choice([f"<{name}{inner}/>", f"<{name}{inner}>x</{name}>"])
     else:
-        spots = [tag.end() for tag in _TAG_CLOSE_RE.finditer(text, later)][:-1]
-        piece = rng.choice(["<r:mi>x</r:mi>", "<r:mi/>", '<mi r:a="1"/>'])
+        at = tag.end()
+        later, rebinding = at + len(inner), inner
+    text = text[:first] + outer + text[first:at] + rebinding + text[at:]
+    later += len(outer)
+    if rng.random() < 0.5:
+        spots = [match.end() for match in _QNAME_OPEN_RE.finditer(text, later)]
+        piece = ' r:b="1"'
+    else:
+        spots = [match.end() for match in _QNAME_CLOSE_RE.finditer(text, later)][:-1]
+        piece = rng.choice(["<r:mi>x</r:mi>", "<r:mi/>", '<mi r:b="1"/>'])
     if not spots:
         return text
     at = rng.choice(spots)

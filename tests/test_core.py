@@ -111,8 +111,8 @@ class TestLenientRepairs:
 
     def test_namespace_insertion_leaves_the_text_as_it_is(self):
         # the model has no namespace attribute, so the repair is recorded only
-        repaired, repairs, _ = core._repair("<m:math><m:mi>x</m:mi></m:math>")
-        assert repaired == "<math><mi>x</mi></math>"
+        repaired, repairs, _ = core._repair(b"<m:math><m:mi>x</m:mi></m:math>")
+        assert repaired == b"<math><mi>x</mi></math>"
         assert [r.kind for r in repairs] == [REPAIR_NAMESPACE_INSERTED] + [
             REPAIR_ATTRIBUTE_NAMESPACE_DROPPED] * 2
 
@@ -479,7 +479,7 @@ class TestLenientRepairs:
         # so the scan stops at the first token past the last ":", which is
         # in the root's start tag
         text = (f'<math xmlns="{NS}"><mi a="&amp;&#x26;">x</mi>'
-                "<mo>&lt;&#60;</mo><mtext>&gt;&quot;&apos;</mtext></math>")
+                "<mo>&lt;&#60;</mo><mtext>&gt;&quot;&apos;</mtext></math>").encode()
         read = []
         tokens = core._TOKEN_RE
 
@@ -491,7 +491,7 @@ class TestLenientRepairs:
 
         monkeypatch.setattr(core, "_TOKEN_RE", Counting())
         assert core._repair(text) == (text, [], [])
-        assert read == [f'<math xmlns="{NS}">', '<mi a="&amp;&#x26;">']
+        assert read == [f'<math xmlns="{NS}">'.encode(), b'<mi a="&amp;&#x26;">']
 
     def test_distinct_expanded_names_and_an_empty_default_namespace_parse(self):
         text = (f'<math xmlns="{NS}" xmlns:a="urn:s" xmlns:b="urn:t">'
@@ -759,6 +759,13 @@ class TestParsingEdges:
          "not well-formed XML: no element found: line 1, column 16"),
         ("<mrow><f:mi>x</f:mi></mrow>", ("lenient", "strict"),
          "input does not contain a math root element (found 'mrow')"),
+        # an external entity is refused where it is used, also inside the
+        # expansion of an internal entity
+        (f'<!DOCTYPE math [<!ENTITY e SYSTEM "x.ent">]><math xmlns="{NS}"><mi>&e;</mi></math>',
+         ("lenient", "strict"), "external entity &e; is not read: line 1, column 97"),
+        (f'<!DOCTYPE math [<!ENTITY e SYSTEM "x.ent"><!ENTITY a "&e;">]>'
+         f'<math xmlns="{NS}"><mi>&a;</mi></math>',
+         ("lenient", "strict"), "external entity &e; is not read: line 1, column 114"),
     ])
     def test_error_messages_and_precedence(self, text, modes, message):
         for mode in modes:
@@ -770,6 +777,34 @@ class TestParsingEdges:
     def test_lone_surrogate_is_malformed(self, mode):
         with pytest.raises(MalformedInput, match="unparseable input"):
             mmlkit.parse("<math>\ud800&alpha;</math>", mode)
+
+    @pytest.mark.parametrize("encoding", ["ISO-8859-1", "UTF-16"])
+    def test_the_input_is_read_whatever_encoding_its_declaration_names(self, encoding):
+        text = f'<?xml version="1.0" encoding="{encoding}"?><math xmlns="{NS}"><mi>é</mi></math>'
+        for mode in ("lenient", "strict"):
+            assert mmlkit.parse(text, mode)[0].root.children[0].text == "é"
+
+    @pytest.mark.parametrize("declaration, body, message, repaired", [
+        (f'<!ATTLIST math xmlns CDATA "{NS}">', "<math><mi>x</mi></math>",
+         "math element lacks a namespace declaration (strict mode)", "<mi>x</mi>"),
+        ('<!ATTLIST mrow xmlns:m CDATA "urn:x">', f'<math xmlns="{NS}"><mrow><m:mi/></mrow></math>',
+         "undeclared namespace prefix 'm'", "<mrow><mi/></mrow>"),
+    ])
+    def test_a_namespace_from_an_attribute_default_is_not_declared(
+            self, declaration, body, message, repaired):
+        text = f"<!DOCTYPE math [{declaration}]>{body}"
+        with pytest.raises(MalformedInput) as info:
+            mmlkit.parse(text, "strict")
+        assert str(info.value) == message
+        doc, report = mmlkit.parse(text)
+        assert report.repairs != ()
+        assert mmlkit.serialize(doc) == f'<math xmlns="{NS}">{repaired}</math>'
+
+    def test_attribute_defaults_of_the_dtd_are_not_applied(self):
+        text = (f'<!DOCTYPE math [<!ATTLIST mi mathvariant CDATA "bold">]>'
+                f'<math xmlns="{NS}"><mi>x</mi></math>')
+        for mode in ("lenient", "strict"):
+            assert mmlkit.parse(text, mode)[0].root.children[0].attributes == ()
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
