@@ -90,10 +90,17 @@ class ConverterRegistry:
         self._specs: dict[str, ConverterSpec] = {}
 
     def register(self, spec: ConverterSpec) -> None:
+        self._register_all([spec])
+
+    def _register_all(self, specs: list[ConverterSpec]) -> None:
+        """Register every spec, or none when a name is taken or repeated."""
         with self._lock:
-            if spec.name in self._specs:
-                raise DuplicateName(f"converter {spec.name!r} is already registered")
-            self._specs[spec.name] = spec
+            new: dict[str, ConverterSpec] = {}
+            for spec in specs:
+                if spec.name in self._specs or spec.name in new:
+                    raise DuplicateName(f"converter {spec.name!r} is already registered")
+                new[spec.name] = spec
+            self._specs.update(new)
 
     def get(self, name: str) -> ConverterSpec:
         with self._lock:
@@ -163,7 +170,9 @@ def load_converters(
     text: str, registry: Optional[ConverterRegistry] = None
 ) -> ConverterRegistry:
     """Register converters described by a JSON array of objects with fields
-    ``name``, ``command``, optional ``input_mode`` and ``timeout_ms``."""
+    ``name``, ``command``, optional ``input_mode`` and ``timeout_ms``.  Every
+    spec, and its name, is checked before any is registered, so a refused
+    file registers nothing."""
     target = registry or _default_registry
     try:
         data = json.loads(text)
@@ -171,6 +180,7 @@ def load_converters(
         raise SchemaError(f"converter spec is not valid JSON: {exc}") from None
     if not isinstance(data, list):
         raise SchemaError("converter spec must be a JSON array")
+    specs = []
     for position, obj in enumerate(data):
         if not isinstance(obj, dict):
             raise SchemaError(f"converter at position {position} is not an object")
@@ -189,7 +199,8 @@ def load_converters(
             spec = ConverterSpec(name, command, **kwargs)
         except ValueError as exc:
             raise SchemaError(f"converter {name!r}: {exc}") from None
-        target.register(spec)
+        specs.append(spec)
+    target._register_all(specs)
     return target
 
 
@@ -252,17 +263,12 @@ def canonicalize(
     if adapter is not None:
         return convert(adapter, core.serialize(doc), registry).mathml
 
-    def rebuild(node: MathNode, children: tuple[MathNode, ...]) -> MathNode:
+    def rebuild(node: MathNode, children: tuple[MathNode, ...]):
         attributes = node.attributes
         if len(attributes) > 1 and not all(map(le, attributes, attributes[1:])):
-            attributes = tuple(sorted(attributes))
+            attributes = sorted(attributes)
         if node.name == "semantics":
-            ranked = sorted(children, key=core._semantics_rank)
-            if not core._same(ranked, children):
-                children = tuple(ranked)
-        if attributes is node.attributes and children is node.children:
-            return node
-        return core._node(node.name, attributes, node.text, children)
+            children = sorted(children, key=core._semantics_rank)
+        return attributes, children
 
-    root = core._rebuild(doc, rebuild)
-    return doc if root is doc.root else MathDoc(root)
+    return core._rebuild(doc, rebuild)

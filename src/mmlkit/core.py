@@ -31,8 +31,9 @@ hand-built or rebuilt; parents and sizes come from the nodes alone, in one
 pass of :func:`_parents_and_sizes`.  A node object may occur at several
 places in a hand-built tree; each occurrence has its own handle, and
 :meth:`MathDoc.handle` returns the first of them in preorder.  ``clean`` and
-``canonicalize`` copy only the nodes on a path from a change to the root, so
-their results share unchanged subtrees, node objects, with their input.
+``canonicalize`` state only their rules, and :func:`_rebuild` alone decides
+what they share with their input: only the nodes on a path from a change to
+the root are new, and an unchanged document comes back as itself.
 """
 
 from __future__ import annotations
@@ -139,9 +140,10 @@ class MathNode:
     segments, stripped of the spaces, tabs, carriage returns and line feeds
     around it, or ``None`` when nothing remains.  The parser applies that
     rule, and so does the constructor to the text it is given, so a hand-built
-    node serializes to text that parses back to an equal node; a text that
-    is not a string is a ``TypeError``.  Equality and hashing are structural
-    and iterative.
+    node serializes to text that parses back to an equal node.  A name,
+    attribute key, attribute value or text that is not a string, or a child
+    that is not a node, is a ``TypeError``.  Equality and hashing are
+    structural and iterative.
     """
 
     name: str
@@ -150,13 +152,19 @@ class MathNode:
     children: tuple["MathNode", ...] = ()
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise TypeError(f"name of element {self.name!r} must be a string")
         attrs = self.attributes
         if isinstance(attrs, Mapping):
             attrs = tuple(attrs.items())
         else:
             attrs = tuple((k, v) for k, v in attrs)
+        if not all(isinstance(k, str) and isinstance(v, str) for k, v in attrs):
+            raise TypeError(f"attribute keys and values of element {self.name!r} must be strings")
         object.__setattr__(self, "attributes", attrs)
         object.__setattr__(self, "children", tuple(self.children))
+        if not all(isinstance(child, MathNode) for child in self.children):
+            raise TypeError(f"children of element {self.name!r} must be MathNode objects")
         if self.text is not None:
             if not isinstance(self.text, str):
                 raise TypeError(f"text of element {self.name!r} must be a string")
@@ -236,16 +244,15 @@ def _same(a, b) -> bool:
     return len(a) == len(b) and all(map(is_, a, b))
 
 
-def _rebuild(doc: MathDoc, make) -> Optional[MathNode]:
-    """Rebuild ``doc``'s tree bottom up, without recursion.
+def _rebuild(doc: MathDoc, make) -> MathDoc:
+    """Rebuild ``doc``'s tree bottom up, without recursion, into a document.
 
-    ``make(node, children)`` returns the replacement of ``node`` given the
-    replacements of its children (those that are not ``None``), or ``None``
-    to drop it; the result is the root's replacement.  When every child's
-    replacement is that child itself, ``children`` is ``node.children``, and
-    ``make`` should then return ``node`` itself unless it changes the node:
-    the result shares every unchanged subtree with ``doc``, and only the
-    nodes on a path from a change to the root are new."""
+    ``make(node, children)``, given the kept replacements of ``node``'s
+    children (``node.children`` itself when none changed), returns ``None``
+    to drop ``node``, or its replacement's ``(attributes, children)`` as any
+    sequences.  ``node`` itself is kept when these equal its attributes and
+    hold its own children in order, so only the nodes on a path from a change
+    to the root are new, and an unchanged ``doc`` comes back as itself."""
     built: list[Optional[MathNode]] = []  # replacements of later subtrees, nearest last
     for node in reversed(doc.nodes):
         children = node.children
@@ -256,8 +263,17 @@ def _rebuild(doc: MathDoc, make) -> Optional[MathNode]:
             rebuilt.reverse()
             if not all(map(is_, rebuilt, children)):  # a node is never false; None is
                 children = tuple(filter(None, rebuilt))
-        built.append(make(node, children))
-    return built[0]
+        made = make(node, children)
+        if made is not None:
+            attributes, children = made
+            if ((attributes is node.attributes or tuple(attributes) == node.attributes)
+                    and (children is node.children or _same(children, node.children))):
+                made = node
+            else:
+                made = _node(node.name, tuple(attributes), node.text, tuple(children))
+        built.append(made)
+    root = built[0]
+    return doc if root is doc.root else MathDoc(root)
 
 
 def _parents_and_sizes(nodes: tuple[MathNode, ...]) -> tuple[tuple, tuple]:
@@ -1006,27 +1022,19 @@ def clean(doc: MathDoc, features: Iterable[str]) -> MathDoc:
             return [node]
         return [_node(node.name, node.attributes, node.text, tuple(kept))] if kept else []
 
-    def rebuild(node: MathNode, children: tuple[MathNode, ...]) -> Optional[MathNode]:
+    def rebuild(node: MathNode, children: tuple[MathNode, ...]):
         rank = _semantics_rank(node)
         if (drop_annotations and rank == _ANNOTATION) or (drop_content and rank == _CONTENT_XML):
             return None
         attributes = node.attributes
         if drop_xrefs:
-            kept = tuple((k, v) for k, v in attributes if k not in ("id", "xref"))
-            if len(kept) < len(attributes):
-                attributes = kept
+            attributes = [(k, v) for k, v in attributes if k not in ("id", "xref")]
         if node is root:
-            top: list[MathNode] = []
-            for child in children:
-                top.extend(unwrap_semantics(child) if child.name == "semantics" else (child,))
-            if not _same(top, children):
-                children = tuple(top)
-        if attributes is node.attributes and children is node.children:
-            return node
-        return _node(node.name, attributes, node.text, children)
+            children = [top for child in children for top in (
+                unwrap_semantics(child) if child.name == "semantics" else (child,))]
+        return attributes, children
 
-    rebuilt = _rebuild(doc, rebuild)
-    result = doc if rebuilt is root else MathDoc(rebuilt)
+    result = _rebuild(doc, rebuild)
     if not result.presentation_nodes and not result.content_nodes:
         raise WouldBeEmpty("cleaning would leave no math content")
     return result

@@ -96,9 +96,14 @@ def load_gold(text: str) -> list[GoldEntry]:
         raise SchemaError(f"not valid JSON: {exc}") from None
     if not isinstance(data, list):
         raise SchemaError("gold collection must be a JSON array")
+    return _checked(data)
+
+
+def _checked(objects: list) -> list[GoldEntry]:
+    """The entries of a collection's objects, each checked as it is loaded."""
     entries = []
     seen: set[int] = set()
-    for position, obj in enumerate(data):
+    for position, obj in enumerate(objects):
         entry = _entry_from_object(obj, position)
         if entry.id in seen:
             raise SchemaError(f"duplicate entry id {entry.id}")
@@ -110,20 +115,15 @@ def load_gold(text: str) -> list[GoldEntry]:
 
 def save_gold(entries: list[GoldEntry]) -> str:
     """Serialize entries as deterministic JSON: entries ordered by id, object
-    keys sorted, 2-space indentation.  ``load_gold(save_gold(e))`` gives back
-    equal entries."""
-    seen: set[int] = set()
+    keys sorted, 2-space indentation.  Entries are checked as :func:`load_gold`
+    checks them, so ``load_gold(save_gold(e))`` gives back equal entries."""
+    objects = []
     for entry in entries:
         if not isinstance(entry, GoldEntry):
             raise SchemaError(f"not a gold entry: {entry!r}")
-        if entry.id in seen:
-            raise SchemaError(f"duplicate entry id {entry.id}")
-        seen.add(entry.id)
         overlap = set(entry.extra) & _KNOWN_FIELDS
         if overlap:
             raise SchemaError(f"entry {entry.id}: extra fields shadow {sorted(overlap)}")
-    objects = []
-    for entry in sorted(entries, key=lambda e: e.id):
         obj: dict[str, Any] = {"id": entry.id, "tex": entry.tex, "mathml": entry.mathml}
         if entry.title is not None:
             obj["title"] = entry.title
@@ -133,7 +133,12 @@ def save_gold(entries: list[GoldEntry]) -> str:
             obj["check"] = dict(entry.check)
         obj.update(entry.extra)
         objects.append(obj)
-    return json.dumps(objects, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    _checked(objects)
+    try:
+        return json.dumps(sorted(objects, key=lambda obj: obj["id"]), sort_keys=True,
+                          indent=2, ensure_ascii=False) + "\n"
+    except (TypeError, ValueError, RecursionError) as exc:  # a value JSON cannot hold
+        raise SchemaError(f"gold collection is not writable as JSON: {exc}") from None
 
 
 def validate_entry(entry: GoldEntry) -> list[Finding]:

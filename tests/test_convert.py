@@ -221,6 +221,19 @@ class TestLoadConverters:
         with pytest.raises(DuplicateName):
             load_converters(text, registry)
 
+    @pytest.mark.parametrize("refused,error", [
+        ([{"name": "a", "command": "x {input}"}, {"name": "b", "command": "y"}], SchemaError),
+        ([{"name": "a", "command": "x {input}"}, {"name": "a", "command": "y {input}"}],
+         DuplicateName),
+    ], ids=["schema", "repeated-name"])
+    def test_a_refused_file_registers_nothing(self, refused, error):
+        registry = ConverterRegistry()
+        with pytest.raises(error):
+            load_converters(json.dumps(refused), registry)
+        assert registry.list_converters() == []
+        load_converters(json.dumps(refused[:1]), registry)
+        assert registry.list_converters() == ["a"]
+
     def test_shipped_example_file_loads(self, data_dir):
         example = data_dir.parent.parent / "converters.example.json"
         registry = load_converters(example.read_text(encoding="utf-8"),

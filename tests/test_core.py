@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 import time
 import timeit
 
@@ -850,6 +851,17 @@ class TestModel:
             MathNode("mi", (("k", "1"), ("k", "2")))
         with pytest.raises(TypeError, match="text of element 'mn' must be a string"):
             MathNode("mn", (), 5)
+
+    @pytest.mark.parametrize("args,message", [
+        ((b"mi",), "name of element b'mi' must be a string"),
+        (("mi", {"a": None}), "attribute keys and values of element 'mi' must be strings"),
+        (("mi", {"id": 1}), "attribute keys and values of element 'mi' must be strings"),
+        (("mi", ((1, "x"),)), "attribute keys and values of element 'mi' must be strings"),
+        (("mrow", (), None, ["x"]), "children of element 'mrow' must be MathNode objects"),
+    ], ids=["bytes-name", "none-value", "int-value", "int-key", "str-child"])
+    def test_node_refuses_what_it_cannot_hold(self, args, message):
+        with pytest.raises(TypeError, match=re.escape(message)):
+            MathNode(*args)
 
     def test_node_accepts_mapping_attributes(self):
         node = MathNode("mi", {"id": "a"}, "x")

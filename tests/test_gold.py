@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -7,6 +8,7 @@ from mmlkit import (
     Finding,
     GoldEntry,
     InvalidGoldMathML,
+    MmlError,
     SchemaError,
     load_gold,
     save_gold,
@@ -188,6 +190,23 @@ class TestSave:
     def test_rejects_shadowing_extra_fields(self):
         entry = GoldEntry(1, "a+b", PARALLEL_SUM, extra={"tex": "other"})
         with pytest.raises(SchemaError, match="entry 1.*shadow"):
+            save_gold([entry])
+
+    @pytest.mark.parametrize("fields", [
+        {"id": 0}, {"id": True}, {"tex": ""}, {"mathml": "<math/>"},
+        {"mathml": f'<math xmlns="{NS}"/>'}, {"check": {"a": 1}}, {"title": 5},
+    ], ids=["id-zero", "id-true", "empty-tex", "bare-math", "no-branches", "check-value",
+            "title"])
+    def test_refuses_what_load_refuses(self, fields):
+        obj = {"id": 1, "tex": "a+b", "mathml": PARALLEL_SUM, **fields}
+        with pytest.raises(MmlError) as refused:
+            load_gold(json.dumps([obj]))
+        with pytest.raises(type(refused.value), match=re.escape(str(refused.value))):
+            save_gold([GoldEntry(**obj)])
+
+    def test_refuses_extra_values_json_cannot_hold(self):
+        entry = GoldEntry(1, "a+b", PARALLEL_SUM, extra={"source": object()})
+        with pytest.raises(SchemaError, match="not writable as JSON"):
             save_gold([entry])
 
 

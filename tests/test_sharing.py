@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import mmlkit
@@ -126,3 +126,20 @@ def test_handles_are_preorder_positions_in_shared_trees(seed):
         assert list(doc.descendants_of(handle)) == below
         assert doc.handle(node) == next(
             first for first, (candidate, _) in enumerate(places) if candidate is node)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_rewriting_a_result_again_returns_it(seed, built):
+    doc = MathDoc(generators.shuffled_shared_root(random.Random(seed)))
+    rewrites = [canonicalize] + [
+        lambda doc, features=features: mmlkit.clean(doc, features) for features in FEATURE_SETS]
+    for rewrite in rewrites:
+        try:
+            result = rewrite(doc)
+        except WouldBeEmpty:
+            continue
+        built.clear()
+        assert rewrite(result) is result
+        assert built == []
