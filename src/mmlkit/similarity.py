@@ -4,7 +4,8 @@ Everything here reduces a document (or one of its branches) to either an
 element-name histogram or a labeled ordered tree, then compares those:
 
 * L1 histogram distance, absolute and relative,
-* ordered tree edit distance (Zhang/Shasha) with configurable costs,
+* ordered tree edit distance with configurable costs: Zhang/Shasha, unless
+  a label-count lower bound meets the top-down distance (integral costs),
 * earth mover's distance, exact: half the integer L1 distance under the
   discrete ground, a small min-cost flow problem under override grounds,
 * cosine similarity of histogram vectors,
@@ -14,6 +15,7 @@ element-name histogram or a labeled ordered tree, then compares those:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -198,6 +200,106 @@ def _flatten(tree: Union[MathDoc, MathNode], label_mode: str,
     return labels, lml, sorted(last_with_lml.values())
 
 
+def _levels(lml: list) -> list:
+    """The postorder numbers of a tree by depth, root level first, each level
+    ascending, which is left to right."""
+    n = len(lml) - 1
+    depth = [0] * (n + 1)
+    for k in range(n, 0, -1):  # a parent before its children
+        child, first = k - 1, lml[k]
+        while child >= first:
+            depth[child] = depth[k] + 1
+            child = lml[child] - 1
+    levels: list = [[] for _ in range(max(depth) + 1)]
+    for k in range(1, n + 1):
+        levels[depth[k]].append(k)
+    return levels
+
+
+def _bounds_meet(labels_a: list, lml_a: list, labels_b: list, lml_b: list,
+                 insert: float, delete: float, rename: float) -> Optional[float]:
+    """The tree edit distance when a lower and an upper bound on it meet,
+    else ``None``.
+
+    Lower bound: a mapping of ``m`` node pairs costs ``delete * (na - m) +
+    insert * (nb - m)`` plus ``rename`` for each mapped pair whose labels
+    differ, and at most ``common`` pairs, the size of the multiset
+    intersection of the labels, have equal labels.  Over ``m`` the least
+    cost is at ``m = common`` or at ``m = min(na, nb)``.
+
+    Upper bound: the top-down distance (Selkow 1977), the cost of the best
+    script that maps root to root and aligns the children of each mapped
+    pair in order, deleting and inserting whole subtrees.  A mapped pair may
+    also be a delete and an insert, so it costs ``min(rename, delete +
+    insert)`` when the labels differ.  Only nodes of one depth map, so the
+    distances are filled one depth level at a time from the deepest, in one
+    table per level indexed by position in the level, and never more cells
+    than ``na * nb``.
+    """
+    na, nb = len(labels_a) - 1, len(labels_b) - 1
+    common = sum((Counter(labels_a[1:]) & Counter(labels_b[1:])).values())
+    low = min(delete * (na - common) + insert * (nb - common),
+              delete * max(na - nb, 0) + insert * max(nb - na, 0)
+              + rename * (min(na, nb) - common))
+
+    levels_a, levels_b = _levels(lml_a), _levels(lml_b)
+    relabel = min(rename, delete + insert)
+    # below[i][j]: top-down distance between the i-th node of A and the j-th
+    # node of B one level down.  The children of a node are the run of the
+    # next level that lies left of it in postorder and right of the children
+    # of the nodes left of it.
+    below: list = []
+    for d in reversed(range(min(len(levels_a), len(levels_b)))):
+        next_a = levels_a[d + 1] if d + 1 < len(levels_a) else []
+        next_b = levels_b[d + 1] if d + 1 < len(levels_b) else []
+        drops = [delete * (k - lml_a[k] + 1) for k in next_a]
+        adds = [insert * (k - lml_b[k] + 1) for k in next_b]
+        spans_b = []
+        start = 0
+        for y in levels_b[d]:
+            end = bisect_left(next_b, y, start)
+            spans_b.append((labels_b[y], start, end, insert * (y - lml_b[y]), adds[start:end]))
+            start = end
+        level = []
+        start = 0
+        for x in levels_a[d]:
+            end = bisect_left(next_a, x, start)
+            label, drop = labels_a[x], delete * (x - lml_a[x])
+            row = []
+            for label_y, start_y, end_y, grow, add in spans_b:
+                if start == end:
+                    cost = grow
+                elif not add:
+                    cost = drop
+                else:
+                    # align the two runs of children, each kept whole
+                    prev = [0.0]
+                    for grow_j in add:
+                        prev.append(prev[-1] + grow_j)
+                    for i in range(start, end):
+                        cut = drops[i]
+                        left = prev[0] + cut
+                        cur = [left]
+                        for diag, up, match, grow_j in zip(prev, prev[1:],
+                                                           below[i][start_y:end_y], add):
+                            best = up + cut
+                            grow_j += left
+                            if grow_j < best:
+                                best = grow_j
+                            match += diag
+                            if match < best:
+                                best = match
+                            cur.append(best)
+                            left = best
+                        prev = cur
+                    cost = prev[-1]
+                row.append(cost if label == label_y else cost + relabel)
+            level.append(row)
+            start = end
+        below = level
+    return low if below[0][0] == low else None
+
+
 def tree_edit_distance(
     a: Union[MathDoc, MathNode],
     b: Union[MathDoc, MathNode],
@@ -207,24 +309,40 @@ def tree_edit_distance(
     """Minimum-cost ordered edit script turning tree ``a`` into tree ``b``.
 
     ``label_mode`` is ``"name"`` (labels are element names) or ``"name-text"``
-    (leaf labels additionally carry the text content).  With unit costs this
-    is a metric; rename cost 0 collapses relabelings.
+    (leaf labels additionally carry the text content).  ``costs`` is a
+    :class:`CostConfig`, unit costs when ``None``.  With unit costs this is
+    a metric; rename cost 0 collapses relabelings.
 
     Trees equal under the label mode give ``0.0`` before any table is
     built: postorder labels and leftmost leaves fix a labeled ordered tree,
     and with non-negative costs the identity mapping, which costs nothing,
     is optimal.  Text and attributes outside the labels do not count, so
     ``a == b`` is not the test.
+
+    With integral costs and ``(|a| + |b|) * max(cost) <= 2**52``, where
+    every sum is exact, a label-count lower bound and the top-down distance
+    come next (:func:`_bounds_meet`).  When they meet, as they usually do on
+    near-duplicates, that is the distance, bit for bit what the Zhang/Shasha
+    tables would give, and no table is built.  Otherwise, and for
+    fractional costs, the tables run.
     """
     if label_mode not in ("name", "name-text"):
         raise ValueError(f"unknown label mode {label_mode!r}")
-    costs = costs or CostConfig()
+    if costs is None:
+        costs = CostConfig()
+    elif not isinstance(costs, CostConfig):
+        raise TypeError(f"costs must be a CostConfig, not {type(costs).__name__}")
     intern: dict = {}
     labels_a, lml_a, keyroots_a = _flatten(a, label_mode, intern)
     labels_b, lml_b, keyroots_b = _flatten(b, label_mode, intern)
     if labels_a == labels_b and lml_a == lml_b:
         return 0.0
     insert, delete, rename = costs.insert, costs.delete, costs.rename
+    if (insert.is_integer() and delete.is_integer() and rename.is_integer()
+            and (len(labels_a) + len(labels_b) - 2) * max(insert, delete, rename) <= 2**52):
+        settled = _bounds_meet(labels_a, lml_a, labels_b, lml_b, insert, delete, rename)
+        if settled is not None:
+            return settled
 
     # td[x][y] is the distance between the subtrees rooted at x and y.  For
     # the keyroot pair (i, j), fd[x][y] is the distance between the forests

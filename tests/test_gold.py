@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import pytest
@@ -204,8 +205,30 @@ class TestSave:
         with pytest.raises(type(refused.value), match=re.escape(str(refused.value))):
             save_gold([GoldEntry(**obj)])
 
+    @pytest.mark.parametrize("value", [
+        (1, 2), math.nan, math.inf, -math.inf, {1: "a"}, {"pages": [1, (2, 3)]},
+        [{"n": math.nan}],
+    ], ids=["tuple", "nan", "inf", "minus-inf", "int-key", "nested-tuple", "nested-nan"])
+    def test_refuses_extra_values_that_reload_unequal(self, value):
+        entry = GoldEntry(1, "a+b", PARALLEL_SUM, extra={"pages": value})
+        with pytest.raises(SchemaError, match="entry 1: extra field 'pages'"):
+            save_gold([entry])
+
+    def test_extra_values_that_reload_equal_are_kept(self):
+        shared = [1, 2.5, None, True, "x"]
+        extra = {"pages": [1, 2], "n": -0.0, "meta": {"a": shared, "b": shared}}
+        entry = GoldEntry(1, "a+b", PARALLEL_SUM, extra=extra)
+        assert load_gold(save_gold([entry])) == [entry]
+
     def test_refuses_extra_values_json_cannot_hold(self):
         entry = GoldEntry(1, "a+b", PARALLEL_SUM, extra={"source": object()})
+        with pytest.raises(SchemaError, match="not writable as JSON"):
+            save_gold([entry])
+
+    def test_refuses_a_cyclic_extra_value(self):
+        cyclic: list = []
+        cyclic.append({"again": cyclic})
+        entry = GoldEntry(1, "a+b", PARALLEL_SUM, extra={"source": cyclic})
         with pytest.raises(SchemaError, match="not writable as JSON"):
             save_gold([entry])
 

@@ -418,6 +418,107 @@ def test_trees_equal_under_the_label_mode_build_no_tables():
     assert peak < 2**20
 
 
+def edited(rng, tree, edits):
+    """A (label, children) tree as a MathNode with random leaf texts, after
+    ``edits`` random renames (of a name or a leaf's text), leaf drops and
+    leaf inserts."""
+    def grow(t):
+        label, kids = t
+        return [label, rng.choice(["x", "y", None]), [grow(k) for k in kids]]
+
+    root = grow(tree)
+    for _ in range(edits):
+        nodes, stack = [], [root]
+        while stack:
+            node = stack.pop()
+            nodes.append(node)
+            stack.extend(node[2])
+        node = rng.choice(nodes)
+        kind = rng.choice(["rename", "drop", "insert"])
+        leaves = [k for k, child in enumerate(node[2]) if not child[2]]
+        if kind == "drop" and leaves:
+            del node[2][rng.choice(leaves)]
+        elif kind == "insert":
+            node[2].insert(rng.randint(0, len(node[2])), [rng.choice("abcd"), "x", []])
+        elif rng.random() < 0.5:
+            node[1] = rng.choice(["x", "y", "z", None])
+        else:
+            node[0] = rng.choice("abcde")
+
+    def build(node):
+        name, text, kids = node
+        return mmlkit.MathNode(name, (), None if kids else text, tuple(build(k) for k in kids))
+
+    return build(root)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_near_duplicates_agree_with_reference(seed):
+    # few edits apart, the label-count bound and the top-down distance often
+    # meet and settle the distance; else the tables run
+    rng = random.Random(seed)
+    tree = generators.random_label_tree(rng)
+    a, b = edited(rng, tree, 0), edited(rng, tree, rng.randint(0, 3))
+    integral = rng.random() < 0.5
+    choices = [0.0, 1.0, 2.0, 3.0] if integral else [0.0, 0.5, 1.0, 2.5]
+    costs = CostConfig(*(rng.choice(choices) for _ in range(3)))
+    for label_mode, with_text in (("name", False), ("name-text", True)):
+        expected = oracles.ted_reference(
+            oracles.as_label_tree(a, with_text), oracles.as_label_tree(b, with_text),
+            costs.insert, costs.delete, costs.rename)
+        actual = mmlkit.tree_edit_distance(a, b, costs, label_mode)
+        if integral:
+            assert actual == expected
+        else:
+            assert actual == pytest.approx(expected, abs=1e-9)
+
+
+def test_bounds_settle_only_integral_costs(monkeypatch):
+    a = pres("<mfrac><mi>a</mi><mi>b</mi></mfrac>")
+    b = pres("<mrow><mi>a</mi><mi>b</mi></mrow>")
+    settled = []
+    bounds = mmlkit.similarity._bounds_meet
+    monkeypatch.setattr(mmlkit.similarity, "_bounds_meet",
+                        lambda *args: settled.append(bounds(*args)) or settled[-1])
+    assert mmlkit.tree_edit_distance(a, b) == 1.0
+    assert settled == [1.0]
+    assert mmlkit.tree_edit_distance(a, b, CostConfig(rename=0.5)) == 0.5
+    assert settled == [1.0]
+
+
+def test_costs_too_large_for_exact_sums_give_the_kernel_value(monkeypatch):
+    # c against c(a(c(b)), d(b, d, b)): seven inserts, which the kernel sums
+    # one at a time and the lower bound multiplies, rounding apart
+    a = generators.label_tree_to_node(("c", ()))
+    b = generators.label_tree_to_node(
+        ("c", (("a", (("c", (("b", ()),)),)), ("d", (("b", ()), ("d", ()), ("b", ()))))))
+    cases = [(x, y, CostConfig(cost, cost, cost))
+             for cost in (2**60, 2**60 + 256) for x, y in ((a, b), (b, a))]
+    values = [mmlkit.tree_edit_distance(*case) for case in cases]
+    monkeypatch.setattr(mmlkit.similarity, "_bounds_meet", lambda *args: None)
+    assert [v.hex() for v in values] == [
+        mmlkit.tree_edit_distance(*case).hex() for case in cases]
+
+
+def test_deep_chains_one_rename_apart():
+    def chain(middle):
+        node = mmlkit.MathNode("mi", (), "x")
+        for level in range(998):
+            node = mmlkit.MathNode(middle if level == 500 else "mrow", (), None, (node,))
+        return mmlkit.MathNode("math", (), None, (node,))
+
+    a, b = chain("mrow"), chain("mstyle")
+    assert mmlkit.tree_edit_distance(a, b) == 1.0
+    assert mmlkit.tree_edit_distance(mmlkit.MathDoc(a), mmlkit.MathDoc(b)) == 1.0
+
+
+def test_costs_must_be_a_cost_config():
+    a, b = pres("<mi>x</mi>"), pres("<mn>1</mn>")
+    with pytest.raises(TypeError, match="costs must be a CostConfig, not tuple"):
+        mmlkit.tree_edit_distance(a, b, costs=(1, 1, 1))
+
+
 class TestGroundDistance:
     def test_discrete_default(self):
         ground = GroundDistance()
