@@ -15,6 +15,7 @@ element-name histogram or a labeled ordered tree, then compares those:
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -105,13 +106,17 @@ def accumulate(histograms: Iterable[Histogram]) -> Histogram:
     """Key-wise sum of histograms (empty input gives the empty histogram)."""
     counter: Counter[str] = Counter()
     for hist in histograms:
-        counter.update(hist.counts)
+        counter.update(hist._counts)
     return Histogram(counter)
 
 
-def _l1(a: Histogram, b: Histogram) -> int:
-    """Exact L1 distance over the union of keys."""
-    return sum(abs(a[k] - b[k]) for k in set(a.counts) | set(b.counts))
+def _l1(a: Histogram, b: Histogram, scale_a: int = 1, scale_b: int = 1) -> int:
+    """Exact L1 distance between the counts of ``a`` times ``scale_a`` and
+    those of ``b`` times ``scale_b``, over the union of keys."""
+    counts_a, counts_b = a._counts, b._counts
+    return (sum(abs(count * scale_a - counts_b.get(key, 0) * scale_b)
+                for key, count in counts_a.items())
+            + sum(count for key, count in counts_b.items() if key not in counts_a) * scale_b)
 
 
 def hist_distance_absolute(a: Histogram, b: Histogram) -> float:
@@ -169,57 +174,53 @@ class CostConfig:
             value = getattr(self, op)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise TypeError(f"{op} cost must be a number")
-            if not math.isfinite(value) or value < 0:
+            if not 0 <= value <= sys.float_info.max:  # NaN compares false
                 raise ValueError(f"{op} cost must be finite and non-negative")
             object.__setattr__(self, op, float(value))
 
 
 def _flatten(tree: Union[MathDoc, MathNode], label_mode: str,
-             intern: dict) -> tuple[list, list, list]:
+             intern: dict) -> tuple[list, list, list, list]:
     """Postorder arrays for Zhang/Shasha, 1-indexed: labels interned to small
-    ints through ``intern``, leftmost-leaf indices, and the keyroots (the
-    last node with each leftmost leaf), ascending.  Sorting the preorder
-    handles by subtree end, deepest first, gives postorder, where node
-    ``k``'s leftmost leaf is ``k - size + 1``.  A bare node's tree is
-    indexed as :class:`MathDoc` indexes one, by :func:`core.iter_subtree`
-    and :func:`core._parents_and_sizes`."""
+    ints through ``intern``, leftmost-leaf indices, the keyroots (the last
+    node with each leftmost leaf: the root and each node that is not its
+    parent's first child), ascending, and the postorder numbers by depth,
+    each level left to right.  One pass over the preorder index gives them
+    all: handle ``h`` at depth ``d[h] = d[parents[h]] + 1`` has postorder
+    number ``k = h + sizes[h] - d[h]``, since of the ``h`` nodes before it
+    all but its ``d[h]`` ancestors close before it, and so do the
+    ``sizes[h] - 1`` below it; its leftmost leaf is ``k - sizes[h] + 1``.
+    A bare node's tree is indexed as :class:`MathDoc` indexes one, by
+    :func:`core.iter_subtree` and :func:`core._parents_and_sizes`."""
     if isinstance(tree, MathDoc):
-        nodes, sizes = tree.nodes, tree._sizes
+        nodes, parents, sizes = tree.nodes, tree._parents, tree._sizes
     else:
         nodes = tuple(iter_subtree(tree))
-        sizes = _parents_and_sizes(nodes)[1]
+        parents, sizes = _parents_and_sizes(nodes)
     with_text = label_mode == "name-text"
-    labels = [None]
-    lml = [0]
-    for k, h in enumerate(sorted(range(len(nodes)), key=lambda i: (i + sizes[i], -i)), 1):
-        node = nodes[h]
-        label = (node.name, node.text) if with_text and sizes[h] == 1 else node.name
-        labels.append(intern.setdefault(label, len(intern)))
-        lml.append(k - sizes[h] + 1)
-    last_with_lml = {first: k for k, first in enumerate(lml) if k}
-    return labels, lml, sorted(last_with_lml.values())
+    n = len(nodes)
+    labels, lml, depths, keyroots, levels = [None] * (n + 1), [0] * (n + 1), [0] * n, [], []
+    for h, node in enumerate(nodes):
+        parent, size = parents[h], sizes[h]
+        d = depths[h] = 0 if parent is None else depths[parent] + 1
+        k = h + size - d
+        label = (node.name, node.text) if with_text and size == 1 else node.name
+        labels[k] = intern.setdefault(label, len(intern))
+        lml[k] = k - size + 1
+        if parent is None or parent + 1 != h:
+            keyroots.append(k)
+        if d == len(levels):
+            levels.append([])
+        levels[d].append(k)
+    keyroots.sort()
+    return labels, lml, keyroots, levels
 
 
-def _levels(lml: list) -> list:
-    """The postorder numbers of a tree by depth, root level first, each level
-    ascending, which is left to right."""
-    n = len(lml) - 1
-    depth = [0] * (n + 1)
-    for k in range(n, 0, -1):  # a parent before its children
-        child, first = k - 1, lml[k]
-        while child >= first:
-            depth[child] = depth[k] + 1
-            child = lml[child] - 1
-    levels: list = [[] for _ in range(max(depth) + 1)]
-    for k in range(1, n + 1):
-        levels[depth[k]].append(k)
-    return levels
-
-
-def _bounds_meet(labels_a: list, lml_a: list, labels_b: list, lml_b: list,
+def _bounds_meet(labels_a: list, lml_a: list, levels_a: list,
+                 labels_b: list, lml_b: list, levels_b: list,
                  insert: float, delete: float, rename: float) -> Optional[float]:
-    """The tree edit distance when a lower and an upper bound on it meet,
-    else ``None``.
+    """The tree edit distance between the trees :func:`_flatten` gives when
+    a lower and an upper bound on it meet, else ``None``.
 
     Lower bound: a mapping of ``m`` node pairs costs ``delete * (na - m) +
     insert * (nb - m)`` plus ``rename`` for each mapped pair whose labels
@@ -242,7 +243,6 @@ def _bounds_meet(labels_a: list, lml_a: list, labels_b: list, lml_b: list,
               delete * max(na - nb, 0) + insert * max(nb - na, 0)
               + rename * (min(na, nb) - common))
 
-    levels_a, levels_b = _levels(lml_a), _levels(lml_b)
     relabel = min(rename, delete + insert)
     # below[i][j]: top-down distance between the i-th node of A and the j-th
     # node of B one level down.  The children of a node are the run of the
@@ -333,14 +333,15 @@ def tree_edit_distance(
     elif not isinstance(costs, CostConfig):
         raise TypeError(f"costs must be a CostConfig, not {type(costs).__name__}")
     intern: dict = {}
-    labels_a, lml_a, keyroots_a = _flatten(a, label_mode, intern)
-    labels_b, lml_b, keyroots_b = _flatten(b, label_mode, intern)
+    labels_a, lml_a, keyroots_a, levels_a = _flatten(a, label_mode, intern)
+    labels_b, lml_b, keyroots_b, levels_b = _flatten(b, label_mode, intern)
     if labels_a == labels_b and lml_a == lml_b:
         return 0.0
     insert, delete, rename = costs.insert, costs.delete, costs.rename
     if (insert.is_integer() and delete.is_integer() and rename.is_integer()
             and (len(labels_a) + len(labels_b) - 2) * max(insert, delete, rename) <= 2**52):
-        settled = _bounds_meet(labels_a, lml_a, labels_b, lml_b, insert, delete, rename)
+        settled = _bounds_meet(labels_a, lml_a, levels_a, labels_b, lml_b, levels_b,
+                               insert, delete, rename)
         if settled is not None:
             return settled
 
@@ -413,7 +414,7 @@ class GroundDistance:
         for (x, y), value in (overrides or {}).items():
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise TypeError(f"ground distance for {(x, y)!r} must be a number")
-            if not math.isfinite(value) or value < 0:
+            if not 0 <= value <= sys.float_info.max:  # NaN compares false
                 raise ValueError(f"ground distance for {(x, y)!r} must be finite and >= 0")
             if x == y:
                 if value != 0:
@@ -508,9 +509,7 @@ def emd(a: Histogram, b: Histogram, ground: Optional[GroundDistance] = None) -> 
     scale_a, scale_b = scale // a.total, scale // b.total
     if ground is None or not ground._overrides:
         # the L1 distance is even: its terms sum to 2 * scale - 2 * overlap
-        l1 = sum(abs(count * scale_a - b[key] * scale_b) for key, count in a.counts.items())
-        l1 += sum(count * scale_b for key, count in b.counts.items() if key not in a.counts)
-        return (l1 // 2) / scale
+        return (_l1(a, b, scale_a, scale_b) // 2) / scale
     keys_a = sorted(a.counts)
     keys_b = sorted(b.counts)
     supply = [a[k] * scale_a for k in keys_a]

@@ -1,8 +1,9 @@
 """Independent reference implementations used only to check the library.
 
-Deliberately naive: exhaustive recursion for tree edit distance, unit-mass
-expansion plus Hungarian assignment (and tiny brute force) for the earth
-mover's distance, an ancestor-chain matcher for path selection, a recursive
+Deliberately naive: exhaustive recursion for tree edit distance and a
+recursive walk for its postorder arrays, unit-mass expansion plus Hungarian
+assignment (and tiny brute force) for the earth mover's distance, an
+ancestor-chain matcher for path selection, a recursive
 walk for a document's preorder index, plain recursive rebuilds, which copy
 every node, for canonicalization and cleaning, and ``xml.dom.minidom`` for
 namespace well-formedness and for the element tree a parse should build.
@@ -62,6 +63,30 @@ def ted_reference(a, b, insert=1.0, delete=1.0, rename=1.0) -> float:
     result = forest_dist((a,), (b,))
     forest_dist.cache_clear()
     return result
+
+
+def postorder_arrays(node, with_text=False):
+    """Zhang/Shasha's view of ``node``'s tree, by plain recursion, as
+    1-indexed postorder lists: labels (a leaf's ``(name, text)`` when
+    ``with_text``, else the name), leftmost-leaf numbers, the keyroots (the
+    last node with each leftmost leaf), ascending, and the postorder numbers
+    at each depth, root level first."""
+    labels, lml, levels = [None], [0], []
+
+    def visit(current, depth):
+        leaves = [visit(child, depth + 1) for child in current.children]
+        with_own_text = with_text and not current.children
+        labels.append((current.name, current.text) if with_own_text else current.name)
+        lml.append(leaves[0] if leaves else len(labels) - 1)
+        while len(levels) <= depth:  # children are listed before their parent
+            levels.append([])
+        levels[depth].append(len(labels) - 1)
+        return lml[-1]
+
+    visit(node, 0)
+    n = len(labels) - 1
+    keyroots = [k for k in range(1, n + 1) if lml[k] not in lml[k + 1:]]
+    return labels, lml, keyroots, levels
 
 
 def emd_half_l1(a_counts, b_counts) -> float:

@@ -207,6 +207,10 @@ class TestCostConfig:
             CostConfig(insert=-1)
         with pytest.raises(ValueError):
             CostConfig(delete=math.inf)
+        with pytest.raises(ValueError):
+            CostConfig(rename=math.nan)
+        with pytest.raises(ValueError):  # past the floats, not an OverflowError
+            CostConfig(insert=10**400)
         with pytest.raises(TypeError):
             CostConfig(rename="free")
 
@@ -501,6 +505,33 @@ def test_costs_too_large_for_exact_sums_give_the_kernel_value(monkeypatch):
         mmlkit.tree_edit_distance(*case).hex() for case in cases]
 
 
+def test_flatten_matches_recursive_postorder():
+    # a document is read through its own preorder index, its bare root
+    # through a fresh walk; the last tree holds one subtree object twice
+    rng = random.Random(139)
+
+    def with_leaf_texts(tree):
+        label, children = tree
+        kids = tuple(with_leaf_texts(c) for c in children)
+        return mmlkit.MathNode(label, (), None if kids else rng.choice(["x", "y", None]), kids)
+
+    roots = [mmlkit.MathNode("math", (), None, (with_leaf_texts(
+        generators.random_label_tree(rng, 12)),)) for _ in range(60)]
+    shared = pres("<msup><mi>x</mi><mrow><mn>2</mn><mi>y</mi></mrow></msup>")
+    roots.append(mmlkit.MathNode("math", (), None, (
+        shared, mmlkit.MathNode("mo", (), "+"), mmlkit.MathNode("mfrac", (), None, (shared, shared)))))
+    for root in roots:
+        doc = mmlkit.MathDoc(root)
+        for label_mode, with_text in (("name", False), ("name-text", True)):
+            expected = oracles.postorder_arrays(root, with_text)
+            for tree in (doc, doc.root):
+                intern: dict = {}
+                labels, lml, keyroots, levels = mmlkit.similarity._flatten(tree, label_mode, intern)
+                label_of = {number: label for label, number in intern.items()}
+                assert [None] + [label_of[k] for k in labels[1:]] == expected[0]
+                assert (lml, keyroots, levels) == expected[1:]
+
+
 def test_deep_chains_one_rename_apart():
     def chain(middle):
         node = mmlkit.MathNode("mi", (), "x")
@@ -535,6 +566,8 @@ class TestGroundDistance:
             GroundDistance({("mi", "mo"): -1.0})
         with pytest.raises(ValueError):
             GroundDistance({("mi", "mi"): 2.0})
+        with pytest.raises(ValueError):  # past the floats, not an OverflowError
+            GroundDistance({("mi", "mo"): 10**400})
         GroundDistance({("mi", "mi"): 0.0})  # explicit zero diagonal is fine
 
 
