@@ -3,8 +3,10 @@
 A converter is any external program describable as a command template plus an
 input mode: the TeX source is either substituted for a ``{input}`` placeholder
 in the argument list or piped to standard input, and the tool is expected to
-print MathML on standard output.  Results are parsed leniently, so converters
-that omit the namespace or emit prefixed markup still round into documents.
+print MathML on standard output.  Tools exchange UTF-8 with mmlkit: a byte
+that is not UTF-8 crosses as a lone surrogate (PEP 383), which the parser
+refuses.  Results are parsed leniently, so converters that omit the namespace
+or emit prefixed markup still round into documents.
 
 The module keeps a process-wide default registry (guarded by a lock); library
 users who need isolation can pass their own :class:`ConverterRegistry`.
@@ -51,7 +53,10 @@ def _timeout(value, field: str, unit_ms: int) -> float:
 
 @dataclass(frozen=True)
 class ConverterSpec:
-    """How to run one external converter."""
+    """How to run one external converter, checked once when it is made: a
+    name or command that is not a string raises TypeError; an empty name,
+    an unknown input mode, a bad timeout, a wrong ``{input}`` count or a
+    command that does not split shell-style into a program raises ValueError."""
 
     name: str
     command: str
@@ -59,11 +64,16 @@ class ConverterSpec:
     timeout: float = 30.0
 
     def __post_init__(self):
-        if not self.name or not self.name.strip():
+        if not isinstance(self.name, str) or not isinstance(self.command, str):
+            raise TypeError("name and command must be strings")
+        if not self.name.strip():
             raise ValueError("converter name must be non-empty")
         if self.input_mode not in INPUT_MODES:
             raise ValueError(f"unknown input mode {self.input_mode!r}")
         object.__setattr__(self, "timeout", _timeout(self.timeout, "timeout", 1000))
+        argv = shlex.split(self.command)  # an unclosed quote raises ValueError
+        if not argv or not argv[0]:
+            raise ValueError("command names no program")
         placeholders = self.command.count("{input}")
         if self.input_mode == "argument" and placeholders != 1:
             raise ValueError("argument-mode commands need exactly one {input} placeholder")
@@ -136,22 +146,17 @@ def convert(
     """Run the named converter on TeX source and parse its output leniently."""
     spec = (registry or _default_registry).get(name)
     argv = shlex.split(spec.command)
-    if spec.input_mode == "argument":
+    piped = spec.input_mode == "standard-input"
+    if not piped:
         argv = [arg.replace("{input}", tex) for arg in argv]
-        stdin_text = None
-    else:
-        stdin_text = tex
     start = time.monotonic()
     try:
-        proc = subprocess.run(
-            argv,
-            input=stdin_text,
-            capture_output=True,
-            text=True,
-            timeout=spec.timeout,
-        )
-    except FileNotFoundError:
-        raise ToolUnavailable(f"converter {spec.name!r}: command {argv[0]!r} not found") from None
+        proc = subprocess.run(argv, input=tex if piped else None, capture_output=True,
+                              encoding="utf-8", errors="surrogateescape", timeout=spec.timeout)
+    except (OSError, ValueError) as exc:  # not runnable, a NUL, input UTF-8 cannot hold
+        reason = getattr(exc, "strerror", None) or exc
+        raise ToolUnavailable(
+            f"converter {spec.name!r}: cannot run {argv[0]!r}: {reason}") from None
     except subprocess.TimeoutExpired:
         raise ToolTimeout(
             f"converter {spec.name!r} exceeded its {spec.timeout:g}s timeout"
@@ -170,9 +175,10 @@ def load_converters(
     text: str, registry: Optional[ConverterRegistry] = None
 ) -> ConverterRegistry:
     """Register converters described by a JSON array of objects with fields
-    ``name``, ``command``, optional ``input_mode`` and ``timeout_ms``.  Every
-    spec, and its name, is checked before any is registered, so a refused
-    file registers nothing."""
+    ``name``, ``command``, optional ``input_mode`` and ``timeout_ms``, each
+    mapped onto a :class:`ConverterSpec`, which checks it.  Every spec, and
+    its name, is checked before any is registered, so a refused file
+    registers nothing."""
     target = registry or _default_registry
     try:
         data = json.loads(text)
@@ -185,21 +191,15 @@ def load_converters(
         if not isinstance(obj, dict):
             raise SchemaError(f"converter at position {position} is not an object")
         name = obj.get("name")
-        command = obj.get("command")
-        if not isinstance(name, str) or not isinstance(command, str):
-            raise SchemaError(
-                f"converter at position {position}: name and command must be strings"
-            )
-        kwargs = {}
-        if "input_mode" in obj:
-            kwargs["input_mode"] = obj["input_mode"]
+        kwargs = {"input_mode": obj["input_mode"]} if "input_mode" in obj else {}
         try:
             if "timeout_ms" in obj:
                 kwargs["timeout"] = _timeout(obj["timeout_ms"], "timeout_ms", 1) / 1000
-            spec = ConverterSpec(name, command, **kwargs)
+            specs.append(ConverterSpec(name, obj.get("command"), **kwargs))
+        except TypeError as exc:
+            raise SchemaError(f"converter at position {position}: {exc}") from None
         except ValueError as exc:
             raise SchemaError(f"converter {name!r}: {exc}") from None
-        specs.append(spec)
     target._register_all(specs)
     return target
 
@@ -222,22 +222,13 @@ def stub_registry() -> ConverterRegistry:
     prints something that is not MathML.
     """
     registry = ConverterRegistry()
-    registry.register(
-        ConverterSpec("identity", _stub_command("identity"), input_mode="standard-input")
-    )
-    registry.register(ConverterSpec("echo-frac", _stub_command("echo-frac", "{input}")))
-    registry.register(ConverterSpec("fail", _stub_command("fail", "{input}")))
-    registry.register(
-        ConverterSpec(
-            "slow",
-            _stub_command("slow", "5.0"),
-            input_mode="standard-input",
-            timeout=0.05,
-        )
-    )
-    registry.register(
-        ConverterSpec("garbage", _stub_command("garbage"), input_mode="standard-input")
-    )
+    registry._register_all([
+        ConverterSpec("identity", _stub_command("identity"), "standard-input"),
+        ConverterSpec("echo-frac", _stub_command("echo-frac", "{input}")),
+        ConverterSpec("fail", _stub_command("fail", "{input}")),
+        ConverterSpec("slow", _stub_command("slow", "5.0"), "standard-input", timeout=0.05),
+        ConverterSpec("garbage", _stub_command("garbage"), "standard-input"),
+    ])
     return registry
 
 

@@ -821,7 +821,8 @@ def parse(text: str, mode: str = "lenient") -> tuple[MathDoc, ParseReport]:
     parser.EntityDeclHandler = entity
 
     def where(at: int) -> str:  # the one locator; ``at`` is a byte offset into the parsed text
-        lines = _LINE_BREAK_RE.split(data[:_original_index(marks, at)].decode("utf-8"))
+        # expat may point inside a character; its partial bytes are not counted
+        lines = _LINE_BREAK_RE.split(data[:_original_index(marks, at)].decode("utf-8", "ignore"))
         return f"line {len(lines)}, column {len(lines[-1])}"
 
     def undefined(tags: Iterable[Optional[re.Match]]) -> Optional[re.Match]:

@@ -411,11 +411,15 @@ class GroundDistance:
 
     def __init__(self, overrides: Optional[Mapping[tuple[str, str], float]] = None):
         normalized: dict[tuple[str, str], float] = {}
-        for (x, y), value in (overrides or {}).items():
+        for key, value in (overrides or {}).items():
+            if not isinstance(key, tuple) or len(key) != 2 or not all(
+                    isinstance(k, str) for k in key):
+                raise TypeError(f"ground distance key {key!r} must be a pair of strings")
             if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise TypeError(f"ground distance for {(x, y)!r} must be a number")
+                raise TypeError(f"ground distance for {key!r} must be a number")
             if not 0 <= value <= sys.float_info.max:  # NaN compares false
-                raise ValueError(f"ground distance for {(x, y)!r} must be finite and >= 0")
+                raise ValueError(f"ground distance for {key!r} must be finite and >= 0")
+            x, y = key
             if x == y:
                 if value != 0:
                     raise ValueError(f"ground distance of {x!r} to itself must be 0")

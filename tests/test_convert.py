@@ -1,8 +1,15 @@
+import io
 import json
 import random
+import shlex
+import subprocess
+import sys
 import threading
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mmlkit
 from mmlkit import (
@@ -16,10 +23,11 @@ from mmlkit import (
     ToolUnavailable,
     UnknownConverter,
     canonicalize,
+    cli,
     load_converters,
     stub_registry,
 )
-from mmlkit.convert import convert, list_converters, register
+from mmlkit.convert import INPUT_MODES, convert, list_converters, register
 
 import generators
 
@@ -47,6 +55,7 @@ class TestConverterSpec:
         {"timeout": float("inf")},
         {"timeout": 10 ** 400},  # more than any float holds
         {"timeout": 2_147_484},  # more than subprocess can wait, 2**31 - 1 ms
+        {"command": "'' {input}"},  # an empty program name
     ])
     def test_field_validation(self, kwargs):
         base = {"name": "t", "command": "tool {input}"}
@@ -172,6 +181,103 @@ class TestStubs:
     def test_unknown_converter_name(self, stubs):
         with pytest.raises(UnknownConverter):
             convert("latexmlmath", "x", stubs)
+
+
+PYTHON = shlex.quote(sys.executable)
+ECHO = "python3 -c 'import sys; sys.stdout.buffer.write(sys.stdin.buffer.read())'"
+
+
+# One converter object each (a str names a converters file under tests/data,
+# which the CI runs through the installed mml script too), the TeX it is run
+# on, and the one error that the spec or the run raises.
+@pytest.mark.parametrize("fields,tex,error", [
+    ({"name": "t", "command": "", "input_mode": "standard-input"}, "x", ValueError),
+    ({"name": "t", "command": "   ", "input_mode": "standard-input"}, "x", ValueError),
+    ("converter_unclosed_quote.json", "x", ValueError),
+    ({"name": 5, "command": "x {input}"}, "x", TypeError),
+    ({"name": "t", "command": 5}, "x", TypeError),
+    ({"name": "t", "command": "NOEXEC {input}"}, "x", ToolUnavailable),
+    ({"name": "t", "command": "python3 -c pass {input}"}, "a\0b", ToolUnavailable),
+    ({"name": "t", "command": ECHO, "input_mode": "standard-input"}, "\ud800", ToolUnavailable),
+    # what a shell hands over for --tex "$(printf 'x\xff')"
+    ({"name": "t", "command": ECHO, "input_mode": "standard-input"}, "x\udcff", OutputNotMathML),
+    ("converter_raw_bytes.json", "x", OutputNotMathML),
+    ({"name": "t", "input_mode": "standard-input", "command":
+      "python3 -c 'import sys; sys.stderr.buffer.write(b\"\\xe9\"); sys.exit(3)'"},
+     "x", ToolFailed),
+], ids=["empty-command", "blank-command", "unclosed-quote", "int-name", "int-command",
+        "not-executable", "nul-argument", "surrogate-stdin", "undecodable-stdin",
+        "undecodable-stdout", "undecodable-stderr"])
+def test_converter_faults_end_in_one_typed_error(tmp_path, data_dir, fields, tex, error):
+    if isinstance(fields, str):
+        fields = json.loads((data_dir / fields).read_text(encoding="utf-8"))[0]
+    noexec = tmp_path / "noexec"
+    noexec.write_text("not a program\n")  # and no execute bit
+    if isinstance(fields["command"], str):
+        fields = {**fields, "command": fields["command"].replace("python3", PYTHON, 1)
+                  .replace("NOEXEC", shlex.quote(str(noexec)))}
+    converters = tmp_path / "converters.json"
+    converters.write_text(json.dumps([fields]), encoding="utf-8")
+    registry = ConverterRegistry()
+    if error in (TypeError, ValueError):
+        with pytest.raises(error):
+            ConverterSpec(**fields)
+        with pytest.raises(SchemaError):
+            load_converters(converters.read_text(encoding="utf-8"), registry)
+        assert registry.list_converters() == []
+    else:
+        load_converters(converters.read_text(encoding="utf-8"), registry)
+        with pytest.raises(error) as exc_info:
+            convert(fields["name"], tex, registry)
+        if error is ToolFailed:
+            assert "'\\udce9'" in str(exc_info.value)  # the excerpt, through repr
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["convert", "--converters", str(converters), "--name", str(fields["name"]),
+            "--tex", tex]
+    assert cli.run(argv, stdout=out, stderr=err) == 1
+    assert err.getvalue().startswith("mml convert: error: ")
+    assert err.getvalue().count("\n") == 1 and "Traceback" not in err.getvalue()
+
+
+def _json_values():
+    scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    return st.recursive(scalars, lambda inner: st.lists(inner, max_size=3)
+                        | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+                        max_leaves=6)
+
+
+# a missing name or command reads as null, which the JSON values hold
+_converter_objects = st.fixed_dictionaries({
+    "name": st.sampled_from(["a", "b", " "]) | _json_values(),
+    "command": st.sampled_from(["tool {input}", "tool", "", "   ", "'' {input}",
+                                'tool "x {input}']) | st.text("tool {input}\"' \\")
+    | _json_values(),
+}, optional={
+    "input_mode": st.sampled_from(INPUT_MODES) | _json_values(),
+    "timeout_ms": st.integers(1, 2 ** 31) | _json_values(),
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(objects=st.lists(_converter_objects, max_size=3))
+def test_load_converters_registers_only_runnable_specs(objects):
+    registry = ConverterRegistry()
+    with mock.patch.object(subprocess, "Popen", side_effect=AssertionError("spawned")):
+        try:
+            load_converters(json.dumps(objects), registry)
+        except (SchemaError, DuplicateName):
+            assert registry.list_converters() == []
+            return
+    assert len(registry.list_converters()) == len(objects)
+    for name in registry.list_converters():
+        assert shlex.split(registry.get(name).command)[0]
+
+
+def test_package_name_convert_is_the_function():
+    module = sys.modules["mmlkit.convert"]
+    assert mmlkit.convert is module.convert
+    from mmlkit.convert import canonicalize as from_module
+    assert from_module is module.canonicalize is canonicalize
 
 
 class TestLoadConverters:

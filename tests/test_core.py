@@ -758,6 +758,9 @@ class TestParsingEdges:
         # well-formedness and the root name take precedence over strict checks
         ("<math><mi>x</mi>", ("strict",),
          "not well-formed XML: no element found: line 1, column 16"),
+        # expat's byte offset falls inside the three-byte character
+        ("\x00\u17e6", ("lenient", "strict"),
+         "not well-formed XML: not well-formed (invalid token): line 1, column 1"),
         ("<mrow><f:mi>x</f:mi></mrow>", ("lenient", "strict"),
          "input does not contain a math root element (found 'mrow')"),
         # an external entity is refused where it is used, also inside the
@@ -849,6 +852,8 @@ class TestModel:
             MathNode("bad name")
         with pytest.raises(ValueError):
             MathNode("mi", (("k", "1"), ("k", "2")))
+        with pytest.raises(ValueError, match="invalid attribute key 'a b'"):
+            MathNode("mi", (("a b", "1"),))
         with pytest.raises(TypeError, match="text of element 'mn' must be a string"):
             MathNode("mn", (), 5)
 
@@ -877,6 +882,9 @@ class TestModel:
         assert a == b
         assert a != c
         assert hash(a) == hash(b)
+        assert a.__eq__(1) is NotImplemented and a != 1
+        assert repr(a) == "<MathNode mrow children=1>"
+        assert repr(c.children[0]) == "<MathNode mi text='y'>"
 
     def test_doc_requires_math_root(self):
         with pytest.raises(MalformedInput):
@@ -918,6 +926,9 @@ class TestModel:
     def test_doc_equality_by_tree(self, listing1_text):
         assert doc_of(listing1_text) == doc_of(listing1_text)
         assert doc_of(listing1_text) != doc_of(f'<math xmlns="{NS}"><mi>x</mi></math>')
+        doc = doc_of(listing1_text)
+        assert doc.__eq__(1) is NotImplemented and doc != 1
+        assert repr(doc) == "<MathDoc nodes=11>"
 
 
 class TestSerialization:

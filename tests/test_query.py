@@ -117,6 +117,14 @@ class TestParsePath:
         with pytest.raises(ValueError):
             Step("child", test, predicates)
 
+    def test_no_axis_or_empty_chain_the_grammar_cannot_write(self):
+        with pytest.raises(ValueError, match="unknown axis 'parent'"):
+            Step("parent", "mi")
+        with pytest.raises(ValueError, match="at least one step"):
+            PathExpr(())
+        with pytest.raises(ValueError, match="at least one alternative"):
+            PathUnion([])
+
 
 def best_of_3(call):
     best = None
@@ -275,3 +283,5 @@ class TestLibrary:
             PathLibrary.from_tsv("a\t//mi\tx\na\t//ci\ty")
         library = PathLibrary.from_tsv("# comment\n\nq\t//mi\tident\n")
         assert library.names() == ["q"]
+        assert len(library) == 1
+        assert "q" in library and "r" not in library

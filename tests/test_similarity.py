@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -34,6 +35,13 @@ class TestHistogramType:
         hist = Histogram({"mi": 2})
         assert hist["mi"] == 2
         assert hist["mo"] == 0
+
+    def test_container_protocol(self):
+        hist = Histogram({"mi": 2, "mn": 0, "mo": 1})
+        assert len(hist) == 2
+        assert list(hist) == ["mi", "mo"]
+        assert hist.__eq__(1) is NotImplemented and hist != {"mi": 2, "mo": 1}
+        assert repr(hist) == "Histogram({'mi': 2, 'mo': 1})"
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -568,6 +576,12 @@ class TestGroundDistance:
             GroundDistance({("mi", "mi"): 2.0})
         with pytest.raises(ValueError):  # past the floats, not an OverflowError
             GroundDistance({("mi", "mo"): 10**400})
+        with pytest.raises(TypeError, match="must be a number"):
+            GroundDistance({("mi", "mo"): "0.5"})
+        # a key is a pair of strings: a two-letter string is no pair
+        for key in ["ab", ("a", 1), ("a", "b", "c"), "mimo"]:
+            with pytest.raises(TypeError, match=re.escape(f"key {key!r}")):
+                GroundDistance({key: 0.5})
         GroundDistance({("mi", "mi"): 0.0})  # explicit zero diagonal is fine
 
 
