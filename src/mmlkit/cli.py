@@ -101,15 +101,12 @@ def _parse_costs(text: str) -> similarity.CostConfig:
 @functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="mml", description="parallel-markup MathML toolkit")
-
-    def add_mode_flags(sub):
-        group = sub.add_mutually_exclusive_group()
-        group.add_argument("--lenient", dest="mode", action="store_const",
-                           const="lenient", default="lenient",
-                           help="repair recoverable defects (default)")
-        group.add_argument("--strict", dest="mode", action="store_const",
-                           const="strict", default="lenient",
-                           help="reject inputs needing repair")
+    modes = _Parser(add_help=False)  # --lenient | --strict, for the commands that parse
+    group = modes.add_mutually_exclusive_group()
+    group.add_argument("--lenient", dest="mode", action="store_const", const="lenient",
+                       default="lenient", help="repair recoverable defects (default)")
+    group.add_argument("--strict", dest="mode", action="store_const", const="strict",
+                       default="lenient", help="reject inputs needing repair")
 
     def add_histogram_flags(sub):
         sub.add_argument("--scope", default="whole",
@@ -120,15 +117,13 @@ def _build_parser() -> _Parser:
                                  parser_class=_Parser)
     subs.required = True
 
-    sub = subs.add_parser("parse", help="parse inputs and print canonical XML")
-    add_mode_flags(sub)
+    sub = subs.add_parser("parse", parents=[modes], help="parse inputs and print canonical XML")
     sub.add_argument("--pretty", action="store_true", help="indented output")
     sub.add_argument("inputs", nargs="+", type=_path, metavar="input")
     sub.set_defaults(transform=lambda doc, args: doc)
 
-    sub = subs.add_parser("clean",
+    sub = subs.add_parser("clean", parents=[modes],
                           help="remove markup features and print the result")
-    add_mode_flags(sub)
     sub.add_argument("--features", required=True, type=_parse_features,
                      help="comma-separated: cross-references, content-branch, "
                           "presentation-branch, annotations")
@@ -136,36 +131,31 @@ def _build_parser() -> _Parser:
     sub.add_argument("inputs", nargs="+", type=_path, metavar="input")
     sub.set_defaults(transform=lambda doc, args: core.clean(doc, args.features))
 
-    sub = subs.add_parser("split",
+    sub = subs.add_parser("split", parents=[modes],
                           help="extract one branch as a standalone document")
-    add_mode_flags(sub)
     sub.add_argument("--branch", required=True, choices=tuple(_SPLITTERS))
     sub.add_argument("--pretty", action="store_true")
     sub.add_argument("inputs", nargs="+", type=_path, metavar="input")
     sub.set_defaults(transform=lambda doc, args: _SPLITTERS[args.branch](doc))
 
-    sub = subs.add_parser("extract",
+    sub = subs.add_parser("extract", parents=[modes],
                           help="list identifier elements as name<TAB>text")
-    add_mode_flags(sub)
     sub.add_argument("--branch", default="both",
                      choices=("presentation", "content", "both"))
     sub.add_argument("inputs", nargs="+", type=_path, metavar="input")
 
-    sub = subs.add_parser("select", help="print nodes matching a path query")
-    add_mode_flags(sub)
+    sub = subs.add_parser("select", parents=[modes], help="print nodes matching a path query")
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--expr", help="inline query, e.g. \"//mi | //ci\"")
     group.add_argument("--lib", help="named query from the built-in catalog")
     sub.add_argument("inputs", nargs="+", type=_path, metavar="input")
 
-    sub = subs.add_parser("histogram", help="print an element-name histogram")
-    add_mode_flags(sub)
+    sub = subs.add_parser("histogram", parents=[modes], help="print an element-name histogram")
     add_histogram_flags(sub)
     sub.add_argument("inputs", nargs="+", type=_path, metavar="input")
 
-    sub = subs.add_parser("dist",
+    sub = subs.add_parser("dist", parents=[modes],
                           help="distance or similarity between two documents")
-    add_mode_flags(sub)
     sub.add_argument("--measure", required=True,
                      choices=("ted", *similarity.HISTOGRAM_MEASURES))
     add_histogram_flags(sub)
@@ -175,9 +165,8 @@ def _build_parser() -> _Parser:
                      help="tree edit labels (ted only), default name")
     sub.add_argument("inputs", nargs=2, type=_path, metavar="input")
 
-    sub = subs.add_parser("doc-dist",
+    sub = subs.add_parser("doc-dist", parents=[modes],
                           help="distance between two document collections")
-    add_mode_flags(sub)
     sub.add_argument("--measure", required=True,
                      choices=tuple(similarity.HISTOGRAM_MEASURES))
     add_histogram_flags(sub)

@@ -20,7 +20,7 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import le
 from typing import Optional
 
@@ -190,16 +190,16 @@ def load_converters(
     for position, obj in enumerate(data):
         if not isinstance(obj, dict):
             raise SchemaError(f"converter at position {position} is not an object")
-        name = obj.get("name")
         kwargs = {"input_mode": obj["input_mode"]} if "input_mode" in obj else {}
-        try:
+        try:  # the spec's own checks first, so a name in a message is a string
+            spec = ConverterSpec(obj.get("name"), obj.get("command"), **kwargs)
             if "timeout_ms" in obj:
-                kwargs["timeout"] = _timeout(obj["timeout_ms"], "timeout_ms", 1) / 1000
-            specs.append(ConverterSpec(name, obj.get("command"), **kwargs))
+                spec = replace(spec, timeout=_timeout(obj["timeout_ms"], "timeout_ms", 1) / 1000)
+            specs.append(spec)
         except TypeError as exc:
             raise SchemaError(f"converter at position {position}: {exc}") from None
         except ValueError as exc:
-            raise SchemaError(f"converter {name!r}: {exc}") from None
+            raise SchemaError(f"converter {obj['name']!r}: {exc}") from None
     target._register_all(specs)
     return target
 
@@ -254,7 +254,7 @@ def canonicalize(
     if adapter is not None:
         return convert(adapter, core.serialize(doc), registry).mathml
 
-    def rebuild(node: MathNode, children: tuple[MathNode, ...]):
+    def rebuild(_handle: int, node: MathNode, children: tuple[MathNode, ...]):
         attributes = node.attributes
         if len(attributes) > 1 and not all(map(le, attributes, attributes[1:])):
             attributes = sorted(attributes)

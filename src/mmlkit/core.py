@@ -247,14 +247,17 @@ def _same(a, b) -> bool:
 def _rebuild(doc: MathDoc, make) -> MathDoc:
     """Rebuild ``doc``'s tree bottom up, without recursion, into a document.
 
-    ``make(node, children)``, given the kept replacements of ``node``'s
-    children (``node.children`` itself when none changed), returns ``None``
-    to drop ``node``, or its replacement's ``(attributes, children)`` as any
-    sequences.  ``node`` itself is kept when these equal its attributes and
-    hold its own children in order, so only the nodes on a path from a change
-    to the root are new, and an unchanged ``doc`` comes back as itself."""
+    ``make(handle, node, children)``, given ``node``'s handle in ``doc`` and
+    the kept replacements of its children (``node.children`` itself when none
+    changed), returns ``None`` to drop ``node``, or its replacement's
+    ``(attributes, children)`` as any sequences.  ``node`` itself is kept
+    when these equal its attributes and hold its own children in order, so
+    only the nodes on a path from a change to the root are new, and an
+    unchanged ``doc`` comes back as itself."""
+    nodes = doc.nodes
     built: list[Optional[MathNode]] = []  # replacements of later subtrees, nearest last
-    for node in reversed(doc.nodes):
+    for handle in range(len(nodes) - 1, -1, -1):
+        node = nodes[handle]
         children = node.children
         if children:
             cut = len(built) - len(children)
@@ -263,7 +266,7 @@ def _rebuild(doc: MathDoc, make) -> MathDoc:
             rebuilt.reverse()
             if not all(map(is_, rebuilt, children)):  # a node is never false; None is
                 children = tuple(filter(None, rebuilt))
-        made = make(node, children)
+        made = make(handle, node, children)
         if made is not None:
             attributes, children = made
             if ((attributes is node.attributes or tuple(attributes) == node.attributes)
@@ -991,11 +994,12 @@ def clean(doc: MathDoc, features: Iterable[str]) -> MathDoc:
 
     ``cross_references`` deletes every id and xref attribute;
     ``content_branch`` deletes MathML-Content annotation-xml elements;
-    ``presentation_branch`` deletes the presentation child of semantics;
-    ``annotations`` deletes annotation elements.  When a single branch and no
-    annotations remain under semantics, the wrapper is unwrapped.  The result
-    shares every unchanged subtree with ``doc``, and is ``doc`` itself when
-    nothing changes.
+    ``presentation_branch`` deletes the presentation child of each semantics
+    child of the root; ``annotations`` deletes annotation elements.  A
+    semantics child of the root left with nothing is removed, and one left
+    with a single branch and no annotations is unwrapped.  :func:`_rebuild`
+    builds every node the result keeps: it shares every unchanged subtree
+    with ``doc``, and is ``doc`` itself when nothing changes.
     """
     feature_set = frozenset(features)
     if not feature_set:
@@ -1008,31 +1012,31 @@ def clean(doc: MathDoc, features: Iterable[str]) -> MathDoc:
     drop_presentation = "presentation_branch" in feature_set
     drop_annotations = "annotations" in feature_set
     drop_xrefs = "cross_references" in feature_set
-    root = doc.root
 
-    def unwrap_semantics(node: MathNode) -> list[MathNode]:
-        kept = [
-            child for child in node.children
-            if not (drop_presentation and _semantics_rank(child) == _PRESENTATION)
-        ]
-        if len(kept) == 1 and _semantics_rank(kept[0]) == _PRESENTATION:
-            return [kept[0]]  # lone presentation branch: unwrap semantics
-        if len(kept) == 1 and _semantics_rank(kept[0]) == _CONTENT_XML:
-            return list(kept[0].children)  # lone content branch: unwrap both wrappers
-        if len(kept) == len(node.children):
-            return [node]
-        return [_node(node.name, node.attributes, node.text, tuple(kept))] if kept else []
+    def top_level(child: MathNode) -> tuple[MathNode, ...]:
+        """The branch a semantics child of the root holds alone, else that child."""
+        if child.name == "semantics" and len(child.children) == 1:
+            rank = _semantics_rank(child.children[0])
+            if rank == _PRESENTATION:
+                return child.children
+            if rank == _CONTENT_XML:
+                return child.children[0].children  # unwrap both wrappers
+        return (child,)
 
-    def rebuild(node: MathNode, children: tuple[MathNode, ...]):
+    def rebuild(handle: int, node: MathNode, children: tuple[MathNode, ...]):
         rank = _semantics_rank(node)
         if (drop_annotations and rank == _ANNOTATION) or (drop_content and rank == _CONTENT_XML):
             return None
         attributes = node.attributes
         if drop_xrefs:
             attributes = [(k, v) for k, v in attributes if k not in ("id", "xref")]
-        if node is root:
-            children = [top for child in children for top in (
-                unwrap_semantics(child) if child.name == "semantics" else (child,))]
+        if handle == 0:
+            children = [top for child in children for top in top_level(child)]
+        elif node.name == "semantics" and doc.parent(handle) == 0:
+            if drop_presentation:
+                children = [child for child in children if _semantics_rank(child) != _PRESENTATION]
+            if not children:
+                return None
         return attributes, children
 
     result = _rebuild(doc, rebuild)

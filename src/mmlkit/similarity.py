@@ -161,6 +161,15 @@ def cosine_similarity(a: Histogram, b: Histogram) -> float:
 # tree edit distance (Zhang/Shasha over ordered labeled trees)
 # ---------------------------------------------------------------------------
 
+def _cost(value, what: str) -> float:
+    """``value`` as a float, if it is a finite non-negative number (not a bool)."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise TypeError(f"{what} must be a number")
+    if not 0 <= value <= sys.float_info.max:  # NaN compares false
+        raise ValueError(f"{what} must be finite and non-negative")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class CostConfig:
     """Per-operation edit costs; all must be finite and non-negative."""
@@ -171,12 +180,7 @@ class CostConfig:
 
     def __post_init__(self):
         for op in ("insert", "delete", "rename"):
-            value = getattr(self, op)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise TypeError(f"{op} cost must be a number")
-            if not 0 <= value <= sys.float_info.max:  # NaN compares false
-                raise ValueError(f"{op} cost must be finite and non-negative")
-            object.__setattr__(self, op, float(value))
+            object.__setattr__(self, op, _cost(getattr(self, op), f"{op} cost"))
 
 
 def _flatten(tree: Union[MathDoc, MathNode], label_mode: str,
@@ -415,16 +419,13 @@ class GroundDistance:
             if not isinstance(key, tuple) or len(key) != 2 or not all(
                     isinstance(k, str) for k in key):
                 raise TypeError(f"ground distance key {key!r} must be a pair of strings")
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise TypeError(f"ground distance for {key!r} must be a number")
-            if not 0 <= value <= sys.float_info.max:  # NaN compares false
-                raise ValueError(f"ground distance for {key!r} must be finite and >= 0")
+            value = _cost(value, f"ground distance for {key!r}")
             x, y = key
             if x == y:
                 if value != 0:
                     raise ValueError(f"ground distance of {x!r} to itself must be 0")
                 continue
-            normalized[(x, y) if x <= y else (y, x)] = float(value)
+            normalized[(x, y) if x <= y else (y, x)] = value
         self._overrides = normalized
 
     def distance(self, x: str, y: str) -> float:

@@ -81,6 +81,30 @@ def random_doc(rng: random.Random) -> MathDoc:
     return MathDoc(random_parallel_root(rng, tex=f"t{rng.randint(0, 99)}"))
 
 
+def multi_semantics_root(rng: random.Random) -> MathNode:
+    """A math element with one to three semantics children among zero to two
+    presentation siblings.  Each semantics keeps each of a presentation
+    branch, a content annotation-xml, another annotation-xml and an
+    annotation at random, in random order, so that cleaning leaves some of
+    them with one branch or with nothing; some carry ids and xrefs."""
+    top = [random_pres_tree(rng, 1) for _ in range(rng.randint(0, 2))]
+    for k in range(rng.randint(1, 3)):
+        parts = [
+            random_pres_tree(rng, 2),
+            MathNode("annotation-xml", (("encoding", "MathML-Content"),), None,
+                     (random_content_tree(rng, 2),)),
+            MathNode("annotation-xml", (("encoding", "application/openmath+xml"),), None,
+                     (MathNode("OMA"),)),
+            MathNode("annotation", (("encoding", "application/x-tex"),), f"t{k}"),
+        ]
+        kept = [part for part in parts if rng.random() < 0.5]
+        rng.shuffle(kept)
+        attributes = (("id", f"s.{k}"), ("xref", f"s.{k}")) if rng.random() < 0.3 else ()
+        top.insert(rng.randint(0, len(top)), MathNode("semantics", attributes, None,
+                                                      tuple(kept)))
+    return MathNode("math", (), None, tuple(top))
+
+
 #: Attributes added in random order by :func:`shuffled_shared_root`.
 EXTRA_ATTRIBUTES = (("class", "k"), ("dir", "rtl"), ("mathvariant", "bold"))
 

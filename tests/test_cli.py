@@ -117,6 +117,24 @@ class TestConvertWiring:
         assert (code, out, err) == (0, expected, "")
 
 
+_ANNOTATION_XML = '<annotation-xml encoding="MathML-Content"><ci>x</ci></annotation-xml>'
+
+
+@pytest.mark.parametrize("body,expected", [
+    ('<mi>x</mi><semantics><annotation encoding="t">t</annotation></semantics>',
+     "<mi>x</mi>"),
+    ("<mi>x</mi><semantics/>", "<mi>x</mi>"),
+    (f"<semantics><mi>x</mi>{_ANNOTATION_XML}</semantics>"
+     '<semantics><annotation encoding="t">t</annotation></semantics>',
+     f"<semantics><mi>x</mi>{_ANNOTATION_XML}</semantics>"),
+], ids=["emptied", "trailing-empty", "second-emptied"])
+def test_clean_removes_a_semantics_child_left_with_nothing(body, expected, invoke, tmp_path):
+    path = tmp_path / "input.mml"
+    path.write_text(f'<math xmlns="{mmlkit.MATHML_NS}">{body}</math>', encoding="utf-8")
+    assert invoke(["clean", "--features", "annotations", str(path)]) == (
+        0, f'<math xmlns="{mmlkit.MATHML_NS}">{expected}</math>\n', "")
+
+
 @pytest.mark.parametrize("scope", ["presentation", "content"])
 def test_ted_on_a_branch_is_the_distance_of_the_split_documents(scope, invoke, paths,
                                                                  listing1_text):
@@ -284,6 +302,9 @@ class TestParserReuse:
         assert err.startswith("usage: mml parse ")
         assert err.endswith(
             "mml parse: error: argument input: input file not found: missing-file.mml\n")
+        code, out, err = invoke(["clean"])
+        assert (code, out) == (2, "")
+        assert err.endswith("the following arguments are required: --features, input\n")
         code, _, err = invoke(fill(["doc-dist", "--measure", "emd",
                                     "-a", "L1", "-b", "nope.mml"], paths))
         assert code == 2

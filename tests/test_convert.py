@@ -309,6 +309,14 @@ class TestLoadConverters:
          "timeout_ms"),
         ('[{"name": "t", "command": "tool {input}", "timeout_ms": 1e10}]', "timeout_ms"),
         ('[{"name": "t", "command": "tool"}]', "placeholder"),
+        # the spec's type check comes first, and a name that is not a string
+        # never appears in a message
+        ('[{"name": 5, "command": "tool {input}", "timeout_ms": 0}]',
+         "^converter at position 0: name and command must be strings$"),
+        pytest.param('[{"name": %s, "command": "tool {input}", "timeout_ms": 0}]'
+                     % ("[" * 900 + "]" * 900),
+                     "^converter at position 0: name and command must be strings$",
+                     id="name-nested-900-deep"),
     ])
     def test_schema_errors(self, text, pattern):
         with pytest.raises(SchemaError, match=pattern):

@@ -5,6 +5,8 @@ import time
 import timeit
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mmlkit
 from mmlkit import (
@@ -18,6 +20,7 @@ from mmlkit import (
 )
 from mmlkit import core
 from mmlkit.core import (
+    CLEANABLE_FEATURES,
     REPAIR_ATTRIBUTE_NAMESPACE_DROPPED,
     REPAIR_ENTITY_REPLACED,
     REPAIR_NAMESPACE_INSERTED,
@@ -1156,6 +1159,18 @@ class TestClean:
             mmlkit.clean(listing1_doc, set())
         with pytest.raises(ValueError):
             mmlkit.clean(listing1_doc, {"everything"})
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           features=st.sets(st.sampled_from(sorted(CLEANABLE_FEATURES)), min_size=1))
+    def test_several_semantics_children_clean_as_the_reference(self, seed, features):
+        doc = MathDoc(generators.multi_semantics_root(random.Random(seed)))
+        reference = MathDoc(oracles.clean_reference(doc.root, features))
+        if not reference.presentation_nodes and not reference.content_nodes:
+            with pytest.raises(WouldBeEmpty):
+                mmlkit.clean(doc, features)
+        else:
+            assert mmlkit.clean(doc, features) == reference
 
 
 class TestLeniencyMutants:
