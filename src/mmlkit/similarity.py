@@ -6,7 +6,7 @@ element-name histogram or a labeled ordered tree, then compares those:
 * L1 histogram distance, absolute and relative,
 * ordered tree edit distance with configurable costs: Zhang/Shasha, unless
   a label-count lower bound meets the top-down distance (integral costs),
-* earth mover's distance, exact: half the integer L1 distance under the
+* earth mover's distance, exact: one minus the shared mass under the
   discrete ground, a small min-cost flow problem under override grounds,
 * cosine similarity of histogram vectors,
 * document-collection distance under any of :data:`HISTOGRAM_MEASURES`.
@@ -36,9 +36,9 @@ STRUCTURAL_NAMES = frozenset({"math", "semantics", "annotation", "annotation-xml
 class Histogram:
     """An immutable element-name multiset.  Zero counts are dropped, so two
     histograms over different universes compare equal when their positive
-    counts agree."""
+    counts agree.  The total and the squared norm are summed once, here."""
 
-    __slots__ = ("_counts", "_total")
+    __slots__ = ("_counts", "_total", "_norm_sq")
 
     def __init__(self, counts: Optional[Mapping[str, int]] = None):
         cleaned: dict[str, int] = {}
@@ -53,6 +53,7 @@ class Histogram:
                 cleaned[key] = value
         self._counts = cleaned
         self._total = sum(cleaned.values())
+        self._norm_sq = sum([count * count for count in cleaned.values()])
 
     @classmethod
     def from_elements(cls, names: Iterable[str]) -> "Histogram":
@@ -110,28 +111,29 @@ def accumulate(histograms: Iterable[Histogram]) -> Histogram:
     return Histogram(counter)
 
 
-def _l1(a: Histogram, b: Histogram, scale_a: int = 1, scale_b: int = 1) -> int:
-    """Exact L1 distance between the counts of ``a`` times ``scale_a`` and
-    those of ``b`` times ``scale_b``, over the union of keys."""
-    counts_a, counts_b = a._counts, b._counts
-    return (sum(abs(count * scale_a - counts_b.get(key, 0) * scale_b)
-                for key, count in counts_a.items())
-            + sum(count for key, count in counts_b.items() if key not in counts_a) * scale_b)
+def _overlap(a: Histogram, b: Histogram, scale_a: int = 1, scale_b: int = 1) -> int:
+    """Shared mass of ``a`` times ``scale_a`` and ``b`` times ``scale_b``, exact:
+    each shared key's smaller scaled count, summed over the smaller histogram."""
+    if len(a._counts) > len(b._counts):
+        a, b, scale_a, scale_b = b, a, scale_b, scale_a
+    counts_b = b._counts
+    return sum([min(count * scale_a, counts_b[key] * scale_b)
+                for key, count in a._counts.items() if key in counts_b])
 
 
 def hist_distance_absolute(a: Histogram, b: Histogram) -> float:
-    """L1 distance over the union of keys."""
-    return float(_l1(a, b))
+    """L1 distance over the union of keys; ``OverflowError`` past the floats."""
+    return float(a._total + b._total - 2 * _overlap(a, b))
 
 
 def hist_distance_relative(a: Histogram, b: Histogram) -> float:
     """Absolute L1 distance scaled by the two totals; 0 when both are empty.
     Bounded by [0, 1]: the exact integer L1 distance divided by the total
     count, one correctly rounded division that holds counts of any size."""
-    denominator = a.total + b.total
+    denominator = a._total + b._total
     if denominator == 0:
         return 0.0
-    return _l1(a, b) / denominator
+    return (denominator - 2 * _overlap(a, b)) / denominator
 
 
 def cosine_similarity(a: Histogram, b: Histogram) -> float:
@@ -140,14 +142,14 @@ def cosine_similarity(a: Histogram, b: Histogram) -> float:
     Counts are integers, so the sums below are exact; proportional vectors
     (Cauchy-Schwarz equality) give exactly 1.0 and disjoint ones exactly 0.0.
     """
-    if a.total == 0 or b.total == 0:
+    if a._total == 0 or b._total == 0:
         raise EmptyHistogram("cosine similarity needs non-empty histograms")
-    dot = sum(count * b[key] for key, count in a.counts.items())
-    norm_sq_a = sum(c * c for c in a.counts.values())
-    norm_sq_b = sum(c * c for c in b.counts.values())
+    small, large = (a, b) if len(a._counts) <= len(b._counts) else (b, a)
+    get = large._counts.get
+    dot = sum([count * get(key, 0) for key, count in small._counts.items()])
     if dot == 0:
         return 0.0
-    product = norm_sq_a * norm_sq_b
+    product = a._norm_sq * b._norm_sq
     if dot * dot == product:
         return 1.0
     try:
@@ -502,23 +504,21 @@ def emd(a: Histogram, b: Histogram, ground: Optional[GroundDistance] = None) -> 
     total mass 1, computed exactly.
 
     Masses are brought to a common integer scale (the lcm of the totals).
-    Under the discrete ground (no overrides) the optimal transport moves
-    exactly the mass by which the two histograms differ, so the distance is
-    half their L1 distance, summed in integers and divided once.  Override
-    grounds solve the balanced transportation problem with exact integer
-    flows, and the optimal cost is scaled back.
+    Under the discrete ground (no overrides) the optimal transport leaves the
+    shared mass in place and moves the rest at cost 1 (Rubner, Tomasi &
+    Guibas 2000): the distance is one minus the shared mass, summed in
+    integers and divided once.  Override grounds solve the balanced
+    transportation problem with exact integer flows, scaled back.
     """
-    if a.total == 0 or b.total == 0:
+    if a._total == 0 or b._total == 0:
         raise EmptyHistogram("earth mover's distance needs non-empty histograms")
-    scale = math.lcm(a.total, b.total)
-    scale_a, scale_b = scale // a.total, scale // b.total
+    scale = math.lcm(a._total, b._total)
+    scale_a, scale_b = scale // a._total, scale // b._total
     if ground is None or not ground._overrides:
-        # the L1 distance is even: its terms sum to 2 * scale - 2 * overlap
-        return (_l1(a, b, scale_a, scale_b) // 2) / scale
-    keys_a = sorted(a.counts)
-    keys_b = sorted(b.counts)
-    supply = [a[k] * scale_a for k in keys_a]
-    demand = [b[k] * scale_b for k in keys_b]
+        return (scale - _overlap(a, b, scale_a, scale_b)) / scale
+    keys_a, keys_b = sorted(a._counts), sorted(b._counts)
+    supply = [a._counts[k] * scale_a for k in keys_a]
+    demand = [b._counts[k] * scale_b for k in keys_b]
     cost = [[ground.distance(ka, kb) for kb in keys_b] for ka in keys_a]
     return _min_cost_transport(supply, demand, cost) / scale
 

@@ -2,6 +2,7 @@ import math
 import random
 import re
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -203,6 +204,41 @@ class TestCosine:
     def test_empty_rejected(self):
         with pytest.raises(EmptyHistogram):
             mmlkit.cosine_similarity(Histogram(), Histogram({"mi": 1}))
+
+
+# counts of 1 to 2,000 bits, so the L1 distance is often past the floats
+_big_counts = st.dictionaries(
+    st.sampled_from(["mi", "mo", "mn", "mrow", "ci", "apply"]),
+    st.integers(1, 2000).flatmap(lambda bits: st.integers(2 ** (bits - 1), 2 ** bits - 1)),
+    max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(counts_a=_big_counts, counts_b=_big_counts)
+def test_histogram_measures_give_the_exact_values_rounded_once(counts_a, counts_b):
+    for first, second in ((counts_a, counts_b), (counts_b, counts_a)):
+        a, b = Histogram(first), Histogram(second)
+        keys = set(first) | set(second)
+        l1 = sum(abs(first.get(k, 0) - second.get(k, 0)) for k in keys)
+        try:
+            expected = float(l1)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                mmlkit.hist_distance_absolute(a, b)
+        else:
+            assert mmlkit.hist_distance_absolute(a, b) == expected
+        ta, tb = a.total, b.total
+        relative = float(Fraction(l1, ta + tb)) if ta + tb else 0.0
+        assert mmlkit.hist_distance_relative(a, b).hex() == relative.hex()
+        if not (ta and tb):
+            for measure in (mmlkit.emd, mmlkit.cosine_similarity):
+                with pytest.raises(EmptyHistogram):
+                    measure(a, b)
+            continue
+        moved = sum(abs(Fraction(first.get(k, 0), ta) - Fraction(second.get(k, 0), tb))
+                    for k in keys) / 2
+        assert mmlkit.emd(a, b).hex() == float(moved).hex()
+        assert mmlkit.cosine_similarity(a, b) == mmlkit.cosine_similarity(b, a)
 
 
 class TestCostConfig:
