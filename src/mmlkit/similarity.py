@@ -5,7 +5,8 @@ element-name histogram or a labeled ordered tree, then compares those:
 
 * L1 histogram distance, absolute and relative,
 * ordered tree edit distance with configurable costs: Zhang/Shasha, unless
-  a label-count lower bound meets the top-down distance (integral costs),
+  the banded string edit distance of the postorder labels, a lower bound,
+  meets the top-down distance, banded alike (integral costs),
 * earth mover's distance, exact: one minus the shared mass under the
   discrete ground, a small min-cost flow problem under override grounds,
 * cosine similarity of histogram vectors,
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -222,17 +223,71 @@ def _flatten(tree: Union[MathDoc, MathNode], label_mode: str,
     return labels, lml, keyroots, levels
 
 
+def _band(na: int, nb: int, step: float, high: float) -> tuple[int, int]:
+    """The diagonals ``j - i``, from ``lo`` to ``hi``, that an alignment of
+    strings of lengths ``na`` and ``nb`` costing at most ``high`` can pass
+    through, with insertions and deletions of at least ``step`` (all when
+    ``step`` is 0): offset ``k`` takes ``|k| + |nb - na - k|`` of them."""
+    skew = nb - na
+    spare = int(high // step - abs(skew)) // 2 if step else na + nb
+    return min(0, skew) - spare, max(0, skew) + spare
+
+
+def _postorder_sed(labels_a: list, labels_b: list,
+                   insert: float, delete: float, rename: float) -> float:
+    """String edit distance between the postorder label arrays that
+    :func:`_flatten` gives, renames standing for substitutions.
+
+    A mapping that keeps ancestors and sibling order keeps postorder, so
+    every tree edit script is an alignment of the two strings at the same
+    cost, and this is a lower bound on the tree edit distance (Guha,
+    Jagadish, Koudas, Srivastava & Yu 2002).  Only the cells of the
+    :func:`_band` of ``high`` are filled (Ukkonen 1985), ``high`` starting
+    at ``step * max(|skew|, 1)`` and doubling until the banded value is at
+    most ``high``, when the best alignment stays in the band, or the band
+    holds every cell: then the value is exact."""
+    na, nb = len(labels_a) - 1, len(labels_b) - 1
+    step = min(insert, delete)
+    high = step * max(abs(nb - na), 1)
+    inf = math.inf
+    while True:
+        lo, hi = _band(na, nb, step, high)
+        # prev[j + 1]: the distance from the first i labels of A to the first
+        # j of B.  prev[0] and the cells outside the band stay infinite, and
+        # labels_b[0], None, differs from every label, so column 0 is filled
+        # from above alone.
+        prev, cur = [inf] * (nb + 2), [inf] * (nb + 2)
+        prev[1:min(hi, nb) + 2] = [j * insert for j in range(min(hi, nb) + 1)]
+        for i in range(1, na + 1):
+            first, last = max(i + lo, 0), min(i + hi, nb)
+            label, left, row = labels_a[i], inf, []
+            for diag, up, label_y in zip(prev[first:last + 1], prev[first + 1:last + 2],
+                                         labels_b[first:last + 1]):
+                best = up + delete
+                value = left + insert
+                if value < best:
+                    best = value
+                if label != label_y:
+                    diag += rename
+                if diag < best:
+                    best = diag
+                row.append(best)
+                left = best
+            cur[first + 1:last + 2] = row
+            prev, cur = cur, prev
+        if prev[nb + 1] <= high or (lo <= -na and hi >= nb):
+            return prev[nb + 1]
+        high *= 2
+
+
 def _bounds_meet(labels_a: list, lml_a: list, levels_a: list,
                  labels_b: list, lml_b: list, levels_b: list,
                  insert: float, delete: float, rename: float) -> Optional[float]:
     """The tree edit distance between the trees :func:`_flatten` gives when
     a lower and an upper bound on it meet, else ``None``.
 
-    Lower bound: a mapping of ``m`` node pairs costs ``delete * (na - m) +
-    insert * (nb - m)`` plus ``rename`` for each mapped pair whose labels
-    differ, and at most ``common`` pairs, the size of the multiset
-    intersection of the labels, have equal labels.  Over ``m`` the least
-    cost is at ``m = common`` or at ``m = min(na, nb)``.
+    Lower bound: :func:`_postorder_sed`, the string edit distance ``L`` of
+    the two postorder label sequences.
 
     Upper bound: the top-down distance (Selkow 1977), the cost of the best
     script that maps root to root and aligns the children of each mapped
@@ -242,12 +297,16 @@ def _bounds_meet(labels_a: list, lml_a: list, levels_a: list,
     distances are filled one depth level at a time from the deepest, in one
     table per level indexed by position in the level, and never more cells
     than ``na * nb``.
+
+    Such a script aligns the whole postorder intervals of each pair it maps,
+    so as a string alignment it passes through the cell ``(x, y)`` of every
+    mapped pair.  If it costs ``L``, each such cell lies in the
+    :func:`_band` of ``L``; so pairs outside the band are left infinite, and
+    the banded top-down distance is ``L`` exactly when the unbanded one is.
     """
     na, nb = len(labels_a) - 1, len(labels_b) - 1
-    common = sum((Counter(labels_a[1:]) & Counter(labels_b[1:])).values())
-    low = min(delete * (na - common) + insert * (nb - common),
-              delete * max(na - nb, 0) + insert * max(nb - na, 0)
-              + rename * (min(na, nb) - common))
+    low = _postorder_sed(labels_a, labels_b, insert, delete, rename)
+    lo, hi = _band(na, nb, min(insert, delete), low)
 
     relabel = min(rename, delete + insert)
     # below[i][j]: top-down distance between the i-th node of A and the j-th
@@ -260,19 +319,23 @@ def _bounds_meet(labels_a: list, lml_a: list, levels_a: list,
         next_b = levels_b[d + 1] if d + 1 < len(levels_b) else []
         drops = [delete * (k - lml_a[k] + 1) for k in next_a]
         adds = [insert * (k - lml_b[k] + 1) for k in next_b]
+        level_b = levels_b[d]
         spans_b = []
         start = 0
-        for y in levels_b[d]:
+        for y in level_b:
             end = bisect_left(next_b, y, start)
             spans_b.append((labels_b[y], start, end, insert * (y - lml_b[y]), adds[start:end]))
             start = end
         level = []
-        start = 0
+        start = first = last = 0
         for x in levels_a[d]:
             end = bisect_left(next_a, x, start)
             label, drop = labels_a[x], delete * (x - lml_a[x])
-            row = []
-            for label_y, start_y, end_y, grow, add in spans_b:
+            first = bisect_left(level_b, x + lo, first)
+            last = bisect_right(level_b, x + hi, last)
+            row = [math.inf] * len(level_b)
+            for j in range(first, last):
+                label_y, start_y, end_y, grow, add = spans_b[j]
                 if start == end:
                     cost = grow
                 elif not add:
@@ -299,7 +362,7 @@ def _bounds_meet(labels_a: list, lml_a: list, levels_a: list,
                             left = best
                         prev = cur
                     cost = prev[-1]
-                row.append(cost if label == label_y else cost + relabel)
+                row[j] = cost if label == label_y else cost + relabel
             level.append(row)
             start = end
         below = level
@@ -326,11 +389,13 @@ def tree_edit_distance(
     ``a == b`` is not the test.
 
     With integral costs and ``(|a| + |b|) * max(cost) <= 2**52``, where
-    every sum is exact, a label-count lower bound and the top-down distance
-    come next (:func:`_bounds_meet`).  When they meet, as they usually do on
-    near-duplicates, that is the distance, bit for bit what the Zhang/Shasha
-    tables would give, and no table is built.  Otherwise, and for
-    fractional costs, the tables run.
+    every sum is exact, two bounds come next (:func:`_bounds_meet`): the
+    string edit distance of the postorder labels, filled on a diagonal band
+    that doubles until it holds the best alignment, and the top-down
+    distance, filled only for the pairs that band allows.  When they meet,
+    as they usually do on near-duplicates, that is the distance, bit for bit
+    what the Zhang/Shasha tables would give, and no table is built.
+    Otherwise, and for fractional costs, the tables run.
     """
     if label_mode not in ("name", "name-text"):
         raise ValueError(f"unknown label mode {label_mode!r}")

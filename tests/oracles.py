@@ -1,7 +1,8 @@
 """Independent reference implementations used only to check the library.
 
-Deliberately naive: exhaustive recursion for tree edit distance and a
-recursive walk for its postorder arrays, unit-mass expansion plus Hungarian
+Deliberately naive: exhaustive recursion for tree edit distance, a
+recursive walk for its postorder arrays and a full table for the string edit
+distance of two sequences, unit-mass expansion plus Hungarian
 assignment (and tiny brute force) for the earth mover's distance, an
 ancestor-chain matcher for path selection, a recursive
 walk for a document's preorder index, plain recursive rebuilds, which copy
@@ -87,6 +88,20 @@ def postorder_arrays(node, with_text=False):
     n = len(labels) - 1
     keyroots = [k for k in range(1, n + 1) if lml[k] not in lml[k + 1:]]
     return labels, lml, keyroots, levels
+
+
+def sed_reference(a, b, ins=1.0, dele=1.0, ren=1.0) -> float:
+    """String edit distance between the sequences ``a`` and ``b``: the full
+    (len(a) + 1) x (len(b) + 1) table of Wagner and Fischer, with ``ren``
+    for a substitution of unequal items."""
+    table = [[j * ins for j in range(len(b) + 1)]]
+    for i, x in enumerate(a, 1):
+        row = [i * dele]
+        for j, y in enumerate(b, 1):
+            row.append(min(table[i - 1][j] + dele, row[j - 1] + ins,
+                           table[i - 1][j - 1] + (0.0 if x == y else ren)))
+        table.append(row)
+    return table[-1][-1]
 
 
 def emd_half_l1(a_counts, b_counts) -> float:

@@ -503,8 +503,8 @@ def edited(rng, tree, edits):
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_near_duplicates_agree_with_reference(seed):
-    # few edits apart, the label-count bound and the top-down distance often
-    # meet and settle the distance; else the tables run
+    # few edits apart, the postorder string edit distance and the top-down
+    # distance often meet and settle the distance; else the tables run
     rng = random.Random(seed)
     tree = generators.random_label_tree(rng)
     a, b = edited(rng, tree, 0), edited(rng, tree, rng.randint(0, 3))
@@ -533,6 +533,40 @@ def test_bounds_settle_only_integral_costs(monkeypatch):
     assert settled == [1.0]
     assert mmlkit.tree_edit_distance(a, b, CostConfig(rename=0.5)) == 0.5
     assert settled == [1.0]
+
+
+def test_bounds_settle_a_swap_of_two_leaves(monkeypatch):
+    # x(a, b) against x(b, a): equal label multisets, so a label-count bound
+    # would be 0; the postorder strings a b x and b a x are 2 apart
+    a = generators.label_tree_to_node(("x", (("a", ()), ("b", ()))))
+    b = generators.label_tree_to_node(("x", (("b", ()), ("a", ()))))
+    settled = []
+    bounds = mmlkit.similarity._bounds_meet
+    monkeypatch.setattr(mmlkit.similarity, "_bounds_meet",
+                        lambda *args: settled.append(bounds(*args)) or settled[-1])
+    assert mmlkit.tree_edit_distance(a, b) == 2.0
+    assert settled == [2.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_postorder_string_edit_distance_is_a_lower_bound_on_tree_edit_distance(seed):
+    # a mapping that keeps ancestors and sibling order keeps postorder, so
+    # every edit script is an alignment of the postorder label strings
+    rng = random.Random(seed)
+    tree = generators.random_label_tree(rng, rng.choice([4, 7, 10]))
+    a = generators.label_tree_to_node(tree)
+    b = (edited(rng, tree, rng.randint(1, 4)) if rng.random() < 0.5
+         else generators.label_tree_to_node(generators.random_label_tree(rng, 10)))
+    costs = [rng.choice([0.0, 1.0, 2.0, 3.0]) for _ in range(3)]
+    intern: dict = {}
+    labels_a = mmlkit.similarity._flatten(a, "name", intern)[0]
+    labels_b = mmlkit.similarity._flatten(b, "name", intern)[0]
+    bound = mmlkit.similarity._postorder_sed(labels_a, labels_b, *costs)
+    assert bound == oracles.sed_reference(oracles.postorder_arrays(a)[0][1:],
+                                          oracles.postorder_arrays(b)[0][1:], *costs)
+    assert bound <= oracles.ted_reference(oracles.as_label_tree(a),
+                                          oracles.as_label_tree(b), *costs)
 
 
 def test_costs_too_large_for_exact_sums_give_the_kernel_value(monkeypatch):
