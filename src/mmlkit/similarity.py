@@ -6,7 +6,7 @@ element-name histogram or a labeled ordered tree, then compares those:
 * L1 histogram distance, absolute and relative,
 * ordered tree edit distance with configurable costs: Zhang/Shasha, unless
   the banded string edit distance of the postorder labels, a lower bound,
-  meets the top-down distance, banded alike (integral costs),
+  meets the top-down distance, banded alike (costs with exact sums),
 * earth mover's distance, exact: one minus the shared mass under the
   discrete ground, a small min-cost flow problem under override grounds,
 * cosine similarity of histogram vectors,
@@ -201,9 +201,11 @@ def _flatten(tree: Union[MathDoc, MathNode], label_mode: str,
     :func:`core.iter_subtree` and :func:`core._parents_and_sizes`."""
     if isinstance(tree, MathDoc):
         nodes, parents, sizes = tree.nodes, tree._parents, tree._sizes
-    else:
+    elif isinstance(tree, MathNode):
         nodes = tuple(iter_subtree(tree))
         parents, sizes = _parents_and_sizes(nodes)
+    else:
+        raise TypeError(f"trees must be a MathDoc or a MathNode, not {type(tree).__name__}")
     with_text = label_mode == "name-text"
     n = len(nodes)
     labels, lml, depths, keyroots, levels = [None] * (n + 1), [0] * (n + 1), [0] * n, [], []
@@ -388,14 +390,15 @@ def tree_edit_distance(
     is optimal.  Text and attributes outside the labels do not count, so
     ``a == b`` is not the test.
 
-    With integral costs and ``(|a| + |b|) * max(cost) <= 2**52``, where
-    every sum is exact, two bounds come next (:func:`_bounds_meet`): the
-    string edit distance of the postorder labels, filled on a diagonal band
-    that doubles until it holds the best alignment, and the top-down
-    distance, filled only for the pairs that band allows.  When they meet,
-    as they usually do on near-duplicates, that is the distance, bit for bit
-    what the Zhang/Shasha tables would give, and no table is built.
-    Otherwise, and for fractional costs, the tables run.
+    When every sum of costs is exact, as it is in any order when each cost
+    is a multiple of ``2**-k`` and ``(|a| + |b|) * max(cost) * 2**k <=
+    2**52`` (Goldberg 1991), for integers and 0.5 or 2.25 but never 0.1 or
+    0.3, two bounds come next (:func:`_bounds_meet`): the string edit
+    distance of the postorder labels, filled on a diagonal band that doubles
+    until it holds the best alignment, and the top-down distance, filled
+    only for the pairs that band allows.  When they meet, as they usually do
+    on near-duplicates, that is the distance, bit for bit what the
+    Zhang/Shasha tables would give, and no table is built.  Else the tables run.
     """
     if label_mode not in ("name", "name-text"):
         raise ValueError(f"unknown label mode {label_mode!r}")
@@ -409,8 +412,10 @@ def tree_edit_distance(
     if labels_a == labels_b and lml_a == lml_b:
         return 0.0
     insert, delete, rename = costs.insert, costs.delete, costs.rename
-    if (insert.is_integer() and delete.is_integer() and rename.is_integer()
-            and (len(labels_a) + len(labels_b) - 2) * max(insert, delete, rename) <= 2**52):
+    # each q is a power of two; in integers, since a float times 2**1074 overflows
+    ratios = [cost.as_integer_ratio() for cost in (insert, delete, rename)]
+    scale = max(q for _, q in ratios)
+    if (len(labels_a) + len(labels_b) - 2) * max(p * scale // q for p, q in ratios) <= 2**52:
         settled = _bounds_meet(labels_a, lml_a, levels_a, labels_b, lml_b, levels_b,
                                insert, delete, rename)
         if settled is not None:

@@ -169,6 +169,40 @@ def label_tree_to_node(tree) -> MathNode:
     return MathNode(label, (), None, tuple(label_tree_to_node(c) for c in children))
 
 
+def edited(rng: random.Random, tree, edits: int) -> MathNode:
+    """A (label, children) tree as a MathNode with random leaf texts, after
+    ``edits`` random renames (of a name or a leaf's text), leaf drops and
+    leaf inserts."""
+    def grow(t):
+        label, kids = t
+        return [label, rng.choice(["x", "y", None]), [grow(k) for k in kids]]
+
+    root = grow(tree)
+    for _ in range(edits):
+        nodes, stack = [], [root]
+        while stack:
+            node = stack.pop()
+            nodes.append(node)
+            stack.extend(node[2])
+        node = rng.choice(nodes)
+        kind = rng.choice(["rename", "drop", "insert"])
+        leaves = [k for k, child in enumerate(node[2]) if not child[2]]
+        if kind == "drop" and leaves:
+            del node[2][rng.choice(leaves)]
+        elif kind == "insert":
+            node[2].insert(rng.randint(0, len(node[2])), [rng.choice("abcd"), "x", []])
+        elif rng.random() < 0.5:
+            node[1] = rng.choice(["x", "y", "z", None])
+        else:
+            node[0] = rng.choice("abcde")
+
+    def build(node):
+        name, text, kids = node
+        return MathNode(name, (), None if kids else text, tuple(build(k) for k in kids))
+
+    return build(root)
+
+
 def random_path_expr(rng: random.Random) -> PathExpr:
     steps = []
     for i in range(rng.randint(1, 3)):

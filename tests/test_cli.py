@@ -57,6 +57,8 @@ GOLDEN_CASES = [
     ("dist_ted.txt", ["dist", "--measure", "ted", "XY", "THREE"]),
     ("dist_ted_costs.txt",
      ["dist", "--measure", "ted", "--costs", "1,1,0.5", "XY", "THREE"]),
+    ("dist_ted_costs_inexact.txt",
+     ["dist", "--measure", "ted", "--costs", "1,1,0.3", "XY", "THREE"]),
     ("dist_ted_nametext.txt",
      ["dist", "--measure", "ted", "--label-mode", "name-text", "XY", "THREE"]),
     ("doc_dist_cosine.txt",

@@ -17,6 +17,7 @@ from mmlkit import (
     MissingBranch,
 )
 
+import digest
 import generators
 import oracles
 
@@ -466,40 +467,6 @@ def test_trees_equal_under_the_label_mode_build_no_tables():
     assert peak < 2**20
 
 
-def edited(rng, tree, edits):
-    """A (label, children) tree as a MathNode with random leaf texts, after
-    ``edits`` random renames (of a name or a leaf's text), leaf drops and
-    leaf inserts."""
-    def grow(t):
-        label, kids = t
-        return [label, rng.choice(["x", "y", None]), [grow(k) for k in kids]]
-
-    root = grow(tree)
-    for _ in range(edits):
-        nodes, stack = [], [root]
-        while stack:
-            node = stack.pop()
-            nodes.append(node)
-            stack.extend(node[2])
-        node = rng.choice(nodes)
-        kind = rng.choice(["rename", "drop", "insert"])
-        leaves = [k for k, child in enumerate(node[2]) if not child[2]]
-        if kind == "drop" and leaves:
-            del node[2][rng.choice(leaves)]
-        elif kind == "insert":
-            node[2].insert(rng.randint(0, len(node[2])), [rng.choice("abcd"), "x", []])
-        elif rng.random() < 0.5:
-            node[1] = rng.choice(["x", "y", "z", None])
-        else:
-            node[0] = rng.choice("abcde")
-
-    def build(node):
-        name, text, kids = node
-        return mmlkit.MathNode(name, (), None if kids else text, tuple(build(k) for k in kids))
-
-    return build(root)
-
-
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_near_duplicates_agree_with_reference(seed):
@@ -507,22 +474,23 @@ def test_near_duplicates_agree_with_reference(seed):
     # distance often meet and settle the distance; else the tables run
     rng = random.Random(seed)
     tree = generators.random_label_tree(rng)
-    a, b = edited(rng, tree, 0), edited(rng, tree, rng.randint(0, 3))
-    integral = rng.random() < 0.5
-    choices = [0.0, 1.0, 2.0, 3.0] if integral else [0.0, 0.5, 1.0, 2.5]
+    a, b = generators.edited(rng, tree, 0), generators.edited(rng, tree, rng.randint(0, 3))
+    # integral and dyadic costs sum exactly, whatever the order; 0.3 and 0.7 do not
+    exact, choices = rng.choice([(True, [0.0, 1.0, 2.0, 3.0]), (True, [0.0, 0.5, 1.0, 2.5]),
+                                 (False, [0.3, 0.7, 1.0])])
     costs = CostConfig(*(rng.choice(choices) for _ in range(3)))
     for label_mode, with_text in (("name", False), ("name-text", True)):
         expected = oracles.ted_reference(
             oracles.as_label_tree(a, with_text), oracles.as_label_tree(b, with_text),
             costs.insert, costs.delete, costs.rename)
         actual = mmlkit.tree_edit_distance(a, b, costs, label_mode)
-        if integral:
+        if exact:
             assert actual == expected
         else:
             assert actual == pytest.approx(expected, abs=1e-9)
 
 
-def test_bounds_settle_only_integral_costs(monkeypatch):
+def test_bounds_settle_only_costs_whose_sums_are_exact(monkeypatch):
     a = pres("<mfrac><mi>a</mi><mi>b</mi></mfrac>")
     b = pres("<mrow><mi>a</mi><mi>b</mi></mrow>")
     settled = []
@@ -530,9 +498,15 @@ def test_bounds_settle_only_integral_costs(monkeypatch):
     monkeypatch.setattr(mmlkit.similarity, "_bounds_meet",
                         lambda *args: settled.append(bounds(*args)) or settled[-1])
     assert mmlkit.tree_edit_distance(a, b) == 1.0
-    assert settled == [1.0]
     assert mmlkit.tree_edit_distance(a, b, CostConfig(rename=0.5)) == 0.5
-    assert settled == [1.0]
+    assert mmlkit.tree_edit_distance(a, b, CostConfig(0.25, 0.5, 0.75)) == 0.75
+    assert settled == [1.0, 0.5, 0.75]
+    # 0.3 is no multiple of a power of two, so the tables run
+    assert mmlkit.tree_edit_distance(a, b, CostConfig(rename=0.3)) == 0.3
+    # 5e-324 is 2**-1074: on that scale 1.7e308 is far past 2**52, and the
+    # gate works in integers, so this reaches the tables and does not overflow
+    assert mmlkit.tree_edit_distance(a, b, CostConfig(5e-324, 1, 1.7e308)) == 1.0
+    assert settled == [1.0, 0.5, 0.75]
 
 
 def test_bounds_settle_a_swap_of_two_leaves(monkeypatch):
@@ -556,9 +530,9 @@ def test_postorder_string_edit_distance_is_a_lower_bound_on_tree_edit_distance(s
     rng = random.Random(seed)
     tree = generators.random_label_tree(rng, rng.choice([4, 7, 10]))
     a = generators.label_tree_to_node(tree)
-    b = (edited(rng, tree, rng.randint(1, 4)) if rng.random() < 0.5
+    b = (generators.edited(rng, tree, rng.randint(1, 4)) if rng.random() < 0.5
          else generators.label_tree_to_node(generators.random_label_tree(rng, 10)))
-    costs = [rng.choice([0.0, 1.0, 2.0, 3.0]) for _ in range(3)]
+    costs = [rng.choice([0.0, 0.25, 0.5, 1.0, 2.25, 3.0]) for _ in range(3)]
     intern: dict = {}
     labels_a = mmlkit.similarity._flatten(a, "name", intern)[0]
     labels_b = mmlkit.similarity._flatten(b, "name", intern)[0]
@@ -626,6 +600,20 @@ def test_costs_must_be_a_cost_config():
     a, b = pres("<mi>x</mi>"), pres("<mn>1</mn>")
     with pytest.raises(TypeError, match="costs must be a CostConfig, not tuple"):
         mmlkit.tree_edit_distance(a, b, costs=(1, 1, 1))
+
+
+@pytest.mark.parametrize("a,b,kind", [("x", "y", "str"), (None, None, "NoneType"),
+                                      (pres("<mi>x</mi>"), ("mi", ()), "tuple")])
+def test_trees_must_be_documents_or_nodes(a, b, kind):
+    with pytest.raises(TypeError, match=f"trees must be a MathDoc or a MathNode, not {kind}$"):
+        mmlkit.tree_edit_distance(a, b)
+
+
+def test_tree_edit_distances_match_the_digest():
+    # float.hex of seeded near-duplicate and unrelated pairs under integral,
+    # dyadic and inexact costs, both label modes; tests/digest.py draws them
+    expected = digest.PATH.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert digest.lines() == expected
 
 
 class TestGroundDistance:
