@@ -1,18 +1,25 @@
-"""Seeded tree edit distance digest: one line per pair, cost set and label
-mode, the distance written with ``float.hex``.
+"""Seeded digests of the comparison measures: one line per case, each value
+written with ``float.hex``, or an exception as its class name.
 
-Each pair is drawn from its own ``random.Random(seed)``: a label tree of 4
-to 40 nodes and either a copy of it 1-3 edits away (``near``) or a second
-tree drawn alone (``far``), both with random leaf texts.  The cost sets mix
-integral, dyadic and inexact costs, so the lines cover the Zhang/Shasha
-tables and the bounds that settle a distance without them.
+``ted``: one line per pair, cost set and label mode.  Each pair is drawn from
+its own ``random.Random(seed)``: a label tree of 4 to 40 nodes and either a
+copy of it 1-3 edits away (``near``) or a second tree drawn alone (``far``),
+both with random leaf texts.  The cost sets mix integral, dyadic and inexact
+costs, so the lines cover the Zhang/Shasha tables and the bounds that settle
+a distance without them.
 
-``tests/data/ted_digest.txt`` holds the lines, and a Tier-1 test compares
-them; the first differing line names its pair.  The file is made on a
-commit whose distances are known good, by redirecting the printed lines:
-``PYTHONPATH=src python tests/digest.py > tests/data/ted_digest.txt``.
-Only a change that means to alter a distance may remake it.  Standard
-library only.
+``hist``: one line per pair of histograms and measure: ``hist-abs``,
+``hist-rel``, ``cosine``, discrete ``emd`` and ``emd`` under a small
+override ground.  Each pair is drawn from its own ``random.Random(seed)``,
+0 to 6 keys a side, with counts of a few units, of up to 64 bits, or of up to
+2,000 bits, so sums pass the floats and empty sides raise.
+
+``tests/data/<name>_digest.txt`` holds the lines, and a Tier-1 test compares
+them; the first differing line names its case.  A file is made on a commit
+whose values are known good, by redirecting the printed lines:
+``PYTHONPATH=src python tests/digest.py ted > tests/data/ted_digest.txt``.
+Only a change that means to alter a value may remake it.  Standard library
+only.
 """
 
 from __future__ import annotations
@@ -22,11 +29,20 @@ import random
 import sys
 
 import generators
-from mmlkit import CostConfig, tree_edit_distance
+from mmlkit import CostConfig, EmptyHistogram, GroundDistance, Histogram, tree_edit_distance
+from mmlkit.similarity import HISTOGRAM_MEASURES
 
-PATH = pathlib.Path(__file__).parent / "data" / "ted_digest.txt"
+DATA = pathlib.Path(__file__).parent / "data"
 PAIRS = 300
 COSTS = ((1, 1, 1), (1, 1, 0.5), (2, 1, 3), (0.25, 0.5, 0.75), (1, 1, 0.3))
+HIST_PAIRS = 2000
+KEYS = ("mi", "mo", "mn", "mrow", "mfrac", "ci", "cn", "apply")
+GROUND = GroundDistance({("mi", "mo"): 0.5, ("mi", "mn"): 0.25, ("ci", "cn"): 0.75,
+                         ("mrow", "apply"): 2.0, ("mfrac", "mo"): 0.0})
+
+
+def path(name: str) -> pathlib.Path:
+    return DATA / f"{name}_digest.txt"
 
 
 def size(tree) -> int:
@@ -51,7 +67,7 @@ def pair(seed: int):
     return "far", a, generators.edited(rng, label_tree(rng), 0)
 
 
-def lines() -> list[str]:
+def ted_lines() -> list[str]:
     out = []
     for seed in range(PAIRS):
         kind, a, b = pair(seed)
@@ -64,5 +80,31 @@ def lines() -> list[str]:
     return out
 
 
+def counts(rng: random.Random) -> dict:
+    """0 to 6 keys, all small, all up to 64 bits or all up to 2,000 bits."""
+    bits = rng.choice((4, 64, 2000))
+    return {key: rng.randint(1, 2 ** rng.randint(1, bits))
+            for key in rng.sample(KEYS, rng.randint(0, 6))}
+
+
+def hist_lines() -> list[str]:
+    measures = [(name, HISTOGRAM_MEASURES[name]) for name in ("hist-abs", "hist-rel", "cosine", "emd")]
+    measures.append(("emd-ground", lambda a, b: HISTOGRAM_MEASURES["emd"](a, b, GROUND)))
+    out = []
+    for seed in range(HIST_PAIRS):
+        rng = random.Random(seed)
+        a, b = Histogram(counts(rng)), Histogram(counts(rng))
+        for name, measure in measures:
+            try:
+                value = measure(a, b).hex()
+            except (EmptyHistogram, OverflowError) as error:
+                value = type(error).__name__
+            out.append(f"{seed} {len(a)}x{len(b)} {name} {value}\n")
+    return out
+
+
+DIGESTS = {"ted": ted_lines, "hist": hist_lines}
+
+
 if __name__ == "__main__":
-    sys.stdout.write("".join(lines()))
+    sys.stdout.write("".join(DIGESTS[sys.argv[1]]()))

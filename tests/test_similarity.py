@@ -612,8 +612,15 @@ def test_trees_must_be_documents_or_nodes(a, b, kind):
 def test_tree_edit_distances_match_the_digest():
     # float.hex of seeded near-duplicate and unrelated pairs under integral,
     # dyadic and inexact costs, both label modes; tests/digest.py draws them
-    expected = digest.PATH.read_text(encoding="utf-8").splitlines(keepends=True)
-    assert digest.lines() == expected
+    expected = digest.path("ted").read_text(encoding="utf-8").splitlines(keepends=True)
+    assert digest.ted_lines() == expected
+
+
+def test_histogram_measures_match_the_digest():
+    # float.hex, or the exception's class name, of all five histogram
+    # measures on seeded pairs with counts of up to 2,000 bits
+    expected = digest.path("hist").read_text(encoding="utf-8").splitlines(keepends=True)
+    assert digest.hist_lines() == expected
 
 
 class TestGroundDistance:
