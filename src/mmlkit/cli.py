@@ -313,7 +313,7 @@ def run(argv, stdout: Optional[TextIO] = None, stderr: Optional[TextIO] = None) 
         status, text = exc.args
         err.write(text)
         return status
-    except (MmlError, OSError) as exc:
+    except (MmlError, OSError, OverflowError) as exc:
         err.write(f"mml {args.command}: error: {exc}\n")
         return 1
 

@@ -365,6 +365,7 @@ class MathDoc:
         self._xref_map = xref_map
         self._dangling = tuple(dangling)
         self._presentation, self._content = self._detect_branches()
+        self._ted_shapes: dict = {}  # label mode -> similarity._flatten's arrays
 
     def _detect_branches(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Handles of the top-level presentation and content nodes."""

@@ -117,9 +117,13 @@ def _overlap(a: Histogram, b: Histogram, scale_a: int = 1, scale_b: int = 1) -> 
     each shared key's smaller scaled count, summed over the smaller histogram."""
     if len(a._counts) > len(b._counts):
         a, b, scale_a, scale_b = b, a, scale_b, scale_a
-    counts_b = b._counts
-    return sum([min(count * scale_a, counts_b[key] * scale_b)
-                for key, count in a._counts.items() if key in counts_b])
+    get, shared = b._counts.get, 0
+    for key, count in a._counts.items():
+        other = get(key)
+        if other is not None:
+            count, other = count * scale_a, other * scale_b
+            shared += count if count < other else other
+    return shared
 
 
 def hist_distance_absolute(a: Histogram, b: Histogram) -> float:
@@ -146,8 +150,11 @@ def cosine_similarity(a: Histogram, b: Histogram) -> float:
     if a._total == 0 or b._total == 0:
         raise EmptyHistogram("cosine similarity needs non-empty histograms")
     small, large = (a, b) if len(a._counts) <= len(b._counts) else (b, a)
-    get = large._counts.get
-    dot = sum([count * get(key, 0) for key, count in small._counts.items()])
+    get, dot = large._counts.get, 0
+    for key, count in small._counts.items():
+        other = get(key)
+        if other is not None:
+            dot += count * other
     if dot == 0:
         return 0.0
     product = a._norm_sq * b._norm_sq
@@ -186,20 +193,25 @@ class CostConfig:
             object.__setattr__(self, op, _cost(getattr(self, op), f"{op} cost"))
 
 
-def _flatten(tree: Union[MathDoc, MathNode], label_mode: str,
-             intern: dict) -> tuple[list, list, list, list]:
-    """Postorder arrays for Zhang/Shasha, 1-indexed: labels interned to small
-    ints through ``intern``, leftmost-leaf indices, the keyroots (the last
-    node with each leftmost leaf: the root and each node that is not its
-    parent's first child), ascending, and the postorder numbers by depth,
-    each level left to right.  One pass over the preorder index gives them
-    all: handle ``h`` at depth ``d[h] = d[parents[h]] + 1`` has postorder
-    number ``k = h + sizes[h] - d[h]``, since of the ``h`` nodes before it
-    all but its ``d[h]`` ancestors close before it, and so do the
-    ``sizes[h] - 1`` below it; its leftmost leaf is ``k - sizes[h] + 1``.
-    A bare node's tree is indexed as :class:`MathDoc` indexes one, by
-    :func:`core.iter_subtree` and :func:`core._parents_and_sizes`."""
+def _flatten(tree: Union[MathDoc, MathNode], label_mode: str) -> tuple[tuple, tuple, tuple, tuple]:
+    """Postorder arrays for Zhang/Shasha, 1-indexed, as tuples: the labels
+    (a name, or a leaf's ``(name, text)`` under ``"name-text"``), the
+    leftmost-leaf indices, the keyroots (the last node with each leftmost
+    leaf: the root and each node that is not its parent's first child),
+    ascending, and the postorder numbers by depth, each level left to right.
+    One pass over the preorder index gives them all: handle ``h`` at depth
+    ``d[h] = d[parents[h]] + 1`` has postorder number ``k = h + sizes[h] -
+    d[h]``, since of the ``h`` nodes before it all but its ``d[h]``
+    ancestors close before it, and so do the ``sizes[h] - 1`` below it; its
+    leftmost leaf is ``k - sizes[h] + 1``.  A document is immutable, so it
+    keeps its arrays per label mode and later calls return them.  A bare
+    node's tree is indexed afresh on every call, as :class:`MathDoc`
+    indexes one, by :func:`core.iter_subtree` and
+    :func:`core._parents_and_sizes`."""
     if isinstance(tree, MathDoc):
+        shape = tree._ted_shapes.get(label_mode)
+        if shape is not None:
+            return shape
         nodes, parents, sizes = tree.nodes, tree._parents, tree._sizes
     elif isinstance(tree, MathNode):
         nodes = tuple(iter_subtree(tree))
@@ -213,8 +225,7 @@ def _flatten(tree: Union[MathDoc, MathNode], label_mode: str,
         parent, size = parents[h], sizes[h]
         d = depths[h] = 0 if parent is None else depths[parent] + 1
         k = h + size - d
-        label = (node.name, node.text) if with_text and size == 1 else node.name
-        labels[k] = intern.setdefault(label, len(intern))
+        labels[k] = (node.name, node.text) if with_text and size == 1 else node.name
         lml[k] = k - size + 1
         if parent is None or parent + 1 != h:
             keyroots.append(k)
@@ -222,7 +233,10 @@ def _flatten(tree: Union[MathDoc, MathNode], label_mode: str,
             levels.append([])
         levels[d].append(k)
     keyroots.sort()
-    return labels, lml, keyroots, levels
+    shape = tuple(labels), tuple(lml), tuple(keyroots), tuple(map(tuple, levels))
+    if isinstance(tree, MathDoc):
+        tree._ted_shapes[label_mode] = shape
+    return shape
 
 
 def _band(na: int, nb: int, step: float, high: float) -> tuple[int, int]:
@@ -235,7 +249,7 @@ def _band(na: int, nb: int, step: float, high: float) -> tuple[int, int]:
     return min(0, skew) - spare, max(0, skew) + spare
 
 
-def _postorder_sed(labels_a: list, labels_b: list,
+def _postorder_sed(labels_a: tuple, labels_b: tuple,
                    insert: float, delete: float, rename: float) -> float:
     """String edit distance between the postorder label arrays that
     :func:`_flatten` gives, renames standing for substitutions.
@@ -243,11 +257,38 @@ def _postorder_sed(labels_a: list, labels_b: list,
     A mapping that keeps ancestors and sibling order keeps postorder, so
     every tree edit script is an alignment of the two strings at the same
     cost, and this is a lower bound on the tree edit distance (Guha,
-    Jagadish, Koudas, Srivastava & Yu 2002).  Only the cells of the
-    :func:`_band` of ``high`` are filled (Ukkonen 1985), ``high`` starting
-    at ``step * max(|skew|, 1)`` and doubling until the banded value is at
-    most ``high``, when the best alignment stays in the band, or the band
-    holds every cell: then the value is exact."""
+    Jagadish, Koudas, Srivastava & Yu 2002).
+
+    The common prefix and suffix of the two strings go first.  With
+    non-negative costs, equal first labels ``x`` align with each other in
+    some best alignment (an exchange argument): if ``x`` of A is deleted
+    and ``x`` of B inserted, aligning them instead saves both; if one is
+    aligned with some later label ``y`` of the other string while its twin
+    is deleted or inserted, aligning the twins and deleting or inserting
+    ``y`` instead costs no more, since ``y`` is then the one dropped; both
+    aligned elsewhere would cross.  So the distance is that of the rest,
+    and likewise from the end.  Both strings lose as many labels, so the
+    skew, and with it the band, stays as it was.
+
+    Only the cells of the :func:`_band` of ``high`` are then filled
+    (Ukkonen 1985), ``high`` starting at ``step * max(|skew|, 1)`` and
+    doubling until the banded value is at most ``high``, when the best
+    alignment stays in the band, or the band holds every cell: then the
+    value is exact."""
+    # both arrays start with None, so the prefix holds at least that one
+    start = 0
+    for x, y in zip(labels_a, labels_b):
+        if x != y:
+            break
+        start += 1
+    limit, end = min(len(labels_a), len(labels_b)) - start, 0
+    for x, y in zip(reversed(labels_a), reversed(labels_b)):
+        if end == limit or x != y:
+            break
+        end += 1
+    # index 0 now holds the prefix's last label, on which no value depends
+    labels_a = labels_a[start - 1:len(labels_a) - end]
+    labels_b = labels_b[start - 1:len(labels_b) - end]
     na, nb = len(labels_a) - 1, len(labels_b) - 1
     step = min(insert, delete)
     high = step * max(abs(nb - na), 1)
@@ -255,9 +296,8 @@ def _postorder_sed(labels_a: list, labels_b: list,
     while True:
         lo, hi = _band(na, nb, step, high)
         # prev[j + 1]: the distance from the first i labels of A to the first
-        # j of B.  prev[0] and the cells outside the band stay infinite, and
-        # labels_b[0], None, differs from every label, so column 0 is filled
-        # from above alone.
+        # j of B.  prev[0] and the cells outside the band stay infinite, so
+        # column 0, whose diagonal is prev[0], is filled from above alone.
         prev, cur = [inf] * (nb + 2), [inf] * (nb + 2)
         prev[1:min(hi, nb) + 2] = [j * insert for j in range(min(hi, nb) + 1)]
         for i in range(1, na + 1):
@@ -282,8 +322,8 @@ def _postorder_sed(labels_a: list, labels_b: list,
         high *= 2
 
 
-def _bounds_meet(labels_a: list, lml_a: list, levels_a: list,
-                 labels_b: list, lml_b: list, levels_b: list,
+def _bounds_meet(labels_a: tuple, lml_a: tuple, levels_a: tuple,
+                 labels_b: tuple, lml_b: tuple, levels_b: tuple,
                  insert: float, delete: float, rename: float) -> Optional[float]:
     """The tree edit distance between the trees :func:`_flatten` gives when
     a lower and an upper bound on it meet, else ``None``.
@@ -382,7 +422,9 @@ def tree_edit_distance(
     ``label_mode`` is ``"name"`` (labels are element names) or ``"name-text"``
     (leaf labels additionally carry the text content).  ``costs`` is a
     :class:`CostConfig`, unit costs when ``None``.  With unit costs this is
-    a metric; rename cost 0 collapses relabelings.
+    a metric; rename cost 0 collapses relabelings.  A distance past the
+    largest float raises ``OverflowError``, as :func:`hist_distance_absolute`
+    does, rather than returning ``inf``.
 
     Trees equal under the label mode give ``0.0`` before any table is
     built: postorder labels and leftmost leaves fix a labeled ordered tree,
@@ -394,11 +436,14 @@ def tree_edit_distance(
     is a multiple of ``2**-k`` and ``(|a| + |b|) * max(cost) * 2**k <=
     2**52`` (Goldberg 1991), for integers and 0.5 or 2.25 but never 0.1 or
     0.3, two bounds come next (:func:`_bounds_meet`): the string edit
-    distance of the postorder labels, filled on a diagonal band that doubles
-    until it holds the best alignment, and the top-down distance, filled
-    only for the pairs that band allows.  When they meet, as they usually do
-    on near-duplicates, that is the distance, bit for bit what the
-    Zhang/Shasha tables would give, and no table is built.  Else the tables run.
+    distance of the postorder labels, trimmed to where they differ and
+    filled on a diagonal band that doubles until it holds the best
+    alignment, and the top-down distance, filled only for the pairs that
+    band allows.  When they meet, as they usually do on near-duplicates,
+    that is the distance, bit for bit what the Zhang/Shasha tables would
+    give, and no table is built.  Else the tables run.  A :class:`MathDoc`
+    keeps its postorder arrays (:func:`_flatten`) from its first call in
+    each label mode on; a bare :class:`MathNode` is flattened on every call.
     """
     if label_mode not in ("name", "name-text"):
         raise ValueError(f"unknown label mode {label_mode!r}")
@@ -406,9 +451,8 @@ def tree_edit_distance(
         costs = CostConfig()
     elif not isinstance(costs, CostConfig):
         raise TypeError(f"costs must be a CostConfig, not {type(costs).__name__}")
-    intern: dict = {}
-    labels_a, lml_a, keyroots_a, levels_a = _flatten(a, label_mode, intern)
-    labels_b, lml_b, keyroots_b, levels_b = _flatten(b, label_mode, intern)
+    labels_a, lml_a, keyroots_a, levels_a = _flatten(a, label_mode)
+    labels_b, lml_b, keyroots_b, levels_b = _flatten(b, label_mode)
     if labels_a == labels_b and lml_a == lml_b:
         return 0.0
     insert, delete, rename = costs.insert, costs.delete, costs.rename
@@ -471,6 +515,8 @@ def tree_edit_distance(
                                 best = value
                         row[y] = left = best
                 prev = row
+    if td[-1][-1] == math.inf:
+        raise OverflowError("tree edit distance is past the largest float")
     return td[-1][-1]
 
 

@@ -227,6 +227,14 @@ def test_json_that_json_loads_refuses_is_a_schema_error(argv, text, invoke, tmp_
     assert err.startswith(f"mml {argv[0]}: error:") and err.count("\n") == 1
 
 
+def test_ted_past_the_largest_float_is_one_error_line(invoke, paths):
+    # each cost is a float, but their sum is not
+    argv = ["dist", "--measure", "ted", "--costs", "1e308,1e308,1e308",
+            paths["L1"], paths["THREE"]]
+    assert invoke(argv) == (
+        1, "", "mml dist: error: tree edit distance is past the largest float\n")
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
         "argv,code,fragment", ERROR_CASES,

@@ -5,7 +5,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mmlkit
@@ -533,14 +533,41 @@ def test_postorder_string_edit_distance_is_a_lower_bound_on_tree_edit_distance(s
     b = (generators.edited(rng, tree, rng.randint(1, 4)) if rng.random() < 0.5
          else generators.label_tree_to_node(generators.random_label_tree(rng, 10)))
     costs = [rng.choice([0.0, 0.25, 0.5, 1.0, 2.25, 3.0]) for _ in range(3)]
-    intern: dict = {}
-    labels_a = mmlkit.similarity._flatten(a, "name", intern)[0]
-    labels_b = mmlkit.similarity._flatten(b, "name", intern)[0]
+    labels_a = mmlkit.similarity._flatten(a, "name")[0]
+    labels_b = mmlkit.similarity._flatten(b, "name")[0]
     bound = mmlkit.similarity._postorder_sed(labels_a, labels_b, *costs)
     assert bound == oracles.sed_reference(oracles.postorder_arrays(a)[0][1:],
                                           oracles.postorder_arrays(b)[0][1:], *costs)
     assert bound <= oracles.ted_reference(oracles.as_label_tree(a),
                                           oracles.as_label_tree(b), *costs)
+
+
+_sed_labels = st.lists(st.sampled_from("abc"), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(prefix=_sed_labels, middle_a=_sed_labels, middle_b=_sed_labels, suffix=_sed_labels,
+       costs=st.tuples(*[st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.25, 3.0])] * 3))
+@example(prefix=["a"], middle_a=[], middle_b=[], suffix=["b"], costs=(1.0, 1.0, 1.0))
+@example(prefix=["a", "b"], middle_a=[], middle_b=["c", "a"], suffix=["b"], costs=(2.25, 0.5, 3.0))
+@example(prefix=[], middle_a=["b", "c"], middle_b=[], suffix=["c"], costs=(0.25, 1.0, 0.0))
+def test_postorder_string_edit_distance_trims_common_ends_exactly(
+        prefix, middle_a, middle_b, suffix, costs):
+    # equal end labels align with each other in some best alignment, so
+    # dropping a shared prefix and suffix first keeps the distance
+    a, b = prefix + middle_a + suffix, prefix + middle_b + suffix
+    assert mmlkit.similarity._postorder_sed((None, *a), (None, *b), *costs) == \
+        oracles.sed_reference(a, b, *costs)
+
+
+def test_tree_edit_distance_past_the_largest_float_raises():
+    a = generators.label_tree_to_node(("a", ()))
+    b = generators.label_tree_to_node(("b", (("c", ()), ("d", ()))))
+    huge = CostConfig(1e308, 1e308, 1e308)
+    assert mmlkit.tree_edit_distance(a, generators.label_tree_to_node(("b", ())), huge) == 1e308
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(OverflowError, match="past the largest float"):
+            mmlkit.tree_edit_distance(x, y, huge)
 
 
 def test_costs_too_large_for_exact_sums_give_the_kernel_value(monkeypatch):
@@ -575,13 +602,34 @@ def test_flatten_matches_recursive_postorder():
     for root in roots:
         doc = mmlkit.MathDoc(root)
         for label_mode, with_text in (("name", False), ("name-text", True)):
-            expected = oracles.postorder_arrays(root, with_text)
+            labels, lml, keyroots, levels = oracles.postorder_arrays(root, with_text)
+            expected = (tuple(labels), tuple(lml), tuple(keyroots), tuple(map(tuple, levels)))
             for tree in (doc, doc.root):
-                intern: dict = {}
-                labels, lml, keyroots, levels = mmlkit.similarity._flatten(tree, label_mode, intern)
-                label_of = {number: label for label, number in intern.items()}
-                assert [None] + [label_of[k] for k in labels[1:]] == expected[0]
-                assert (lml, keyroots, levels) == expected[1:]
+                assert mmlkit.similarity._flatten(tree, label_mode) == expected
+
+
+def test_a_document_flattens_once_per_label_mode(monkeypatch):
+    flatten = mmlkit.similarity._flatten
+    doc, _ = mmlkit.parse(f'<math xmlns="{NS}"><mfrac><mi>x</mi><mn>2</mn></mfrac></math>')
+    by_name = flatten(doc, "name")
+    by_text = flatten(doc, "name-text")
+    assert by_name[0] != by_text[0]  # the leaves carry their texts apart
+    assert flatten(doc, "name") is by_name and flatten(doc, "name-text") is by_text
+    # tuples throughout, so no caller can change what the document keeps
+    assert all(type(part) is tuple for part in (*by_name, *by_name[3], *by_text, *by_text[3]))
+    # a bare node has nowhere to keep its arrays: a fresh, equal copy each time
+    assert flatten(doc.root, "name") == by_name
+    assert flatten(doc.root, "name") is not flatten(doc.root, "name")
+    # many distances read each document's preorder nodes once per label mode
+    other, _ = mmlkit.parse(f'<math xmlns="{NS}"><mi>y</mi></math>')
+    reads = []
+    nodes = mmlkit.MathDoc.nodes
+    monkeypatch.setattr(mmlkit.MathDoc, "nodes",
+                        property(lambda self: reads.append(self) or nodes.fget(self)))
+    for label_mode in ("name", "name-text", "name", "name-text"):
+        for x, y in ((doc, other), (other, doc), (other, other)):
+            mmlkit.tree_edit_distance(x, y, label_mode=label_mode)
+    assert reads == [other, other]
 
 
 def test_deep_chains_one_rename_apart():
