@@ -24,6 +24,7 @@ from .errors import MalformedInput, MmlError
 
 _FEATURE_ALIASES = {name.replace("_", "-"): name for name in core.CLEANABLE_FEATURES}
 _SPLITTERS = {"presentation": core.split_presentation, "content": core.split_content}
+_SIDES = {"-a": "-a", "--left": "-a", "-b": "-b", "--right": "-b"}  # doc-dist's, short form
 
 
 class _Exit(Exception):
@@ -54,12 +55,13 @@ def format_number(value: float) -> str:
     return text
 
 
-def _read_input(path: str) -> str:
+def _read_input(path: str, keep_line_ends: bool = False) -> str:
     try:
         if path == "-":
             return sys.stdin.read()
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+        with open(path, "rb", buffering=0) as handle:
+            text = handle.read().decode("utf-8")
+        return text if keep_line_ends else text.replace("\r\n", "\n").replace("\r", "\n")
     except UnicodeDecodeError as exc:
         raise MalformedInput(f"{path}: not UTF-8 text: {exc}") from None
 
@@ -170,12 +172,10 @@ def _build_parser() -> _Parser:
     sub.add_argument("--measure", required=True,
                      choices=tuple(similarity.HISTOGRAM_MEASURES))
     add_histogram_flags(sub)
-    sub.add_argument("-a", "--left", action="append", required=True, type=_path,
-                     metavar="FILE",
-                     help="document on the left side (repeatable)")
-    sub.add_argument("-b", "--right", action="append", required=True, type=_path,
-                     metavar="FILE",
-                     help="document on the right side (repeatable)")
+    for flag, side in (("-a", "left"), ("-b", "right")):
+        sub.add_argument(flag, f"--{side}", action="extend", nargs="+", required=True, type=_path,
+                         metavar="FILE", help=f"{side} documents, one or more; repeatable; "
+                                              f"one {flag} list always parses in linear time")
 
     sub = subs.add_parser("convert",
                           help="run a registered TeX-to-MathML converter")
@@ -194,10 +194,23 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _fold_sides(argv):
+    """A doc-dist ``argv`` with each run of ``-a V`` or ``--left V`` pairs, each ``V`` ``-`` or
+    starting with no ``-``, as one ``-a V1 V2 ...`` (alike for ``-b``), up to any ``--``.  It
+    parses as ``argv`` does, but in linear time: argparse scans all options for each it reads."""
+    if not argv or argv[0] != "doc-dist":
+        return argv
+    end = argv.index("--") if "--" in argv else len(argv)
+    plain = [i < end and (t == "-" or t[:1] != "-") for i, t in enumerate(argv)] + [False]
+    return [token for i, token in enumerate(argv) if not (
+        2 < i < end and token in _SIDES and plain[i + 1] and plain[i - 1]
+        and _SIDES.get(argv[i - 2]) == _SIDES[token])]
+
+
 def _load_docs(paths, mode) -> Iterator[core.MathDoc]:
     """Parse the inputs lazily: each result is written before the next is read."""
     for path in paths:
-        yield core.parse(_read_input(path), mode)[0]
+        yield core.parse(_read_input(path, keep_line_ends=True), mode)[0]  # expat normalizes
 
 
 def _cmd_write_docs(args, out):
@@ -307,7 +320,7 @@ def run(argv, stdout: Optional[TextIO] = None, stderr: Optional[TextIO] = None) 
     out = stdout or sys.stdout
     err = stderr or sys.stderr
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(_fold_sides(argv))
         return _COMMANDS[args.command](args, out)
     except _Exit as exc:
         status, text = exc.args

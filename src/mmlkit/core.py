@@ -120,9 +120,7 @@ _TOKEN_RE = re.compile(
 _ENTITY_DECLARATION_RE = re.compile(
     rb"<!--.*?(?:-->|\Z)|<\?.*?(?:\?>|\Z)|\"[^\"]*\"?|'[^']*'?"
     rb"|<!ENTITY\s+([A-Za-z][A-Za-z0-9]*)\s", re.S)
-#: Text up to the last ``:`` or the last ``&`` that may start a repair: a
-#: character reference or predefined entity is never rewritten.
-_LAST_REPAIRABLE_RE = re.compile(rb".*(?::|&(?!#|(?:amp|lt|gt|quot|apos);))", re.S)
+_SAFE_AMP_RE = re.compile(rb"&(?:#|(?:amp|lt|gt|quot|apos);)")  # no repair starts there
 _LINE_BREAK_RE = re.compile(r"\r\n?|\n")  # as expat counts lines
 _UNDEFINED_ENTITY = xml.parsers.expat.errors.codes[
     xml.parsers.expat.errors.XML_ERROR_UNDEFINED_ENTITY]
@@ -532,6 +530,14 @@ def _unbind(scope: dict, replaced: Iterable[tuple]) -> None:
             scope[prefix] = previous
 
 
+def _last_repairable(text: bytes) -> int:
+    """Offset of the last ``:`` or ``&`` that may start a repair, else -1."""
+    colon, amp = text.rfind(b":"), len(text)
+    while (amp := text.rfind(b"&", colon + 1, amp)) >= 0 and _SAFE_AMP_RE.match(text, amp):
+        pass
+    return max(colon, amp)
+
+
 def _repair(text: bytes) -> tuple[bytes, list[Repair], list[tuple[int, int, int]]]:
     """Apply the three leniency rules in one forward scan over UTF-8 ``text``.
 
@@ -571,8 +577,7 @@ def _repair(text: bytes) -> tuple[bytes, list[Repair], list[tuple[int, int, int]
         out.append(replacement)
         copied = end
 
-    tail = _LAST_REPAIRABLE_RE.match(text)
-    last = tail.end() - 1 if tail else -1
+    last = _last_repairable(text)
     for token in _TOKEN_RE.finditer(text):
         kind = token.lastgroup
         if kind is None:  # comment, CDATA section, processing instruction

@@ -92,16 +92,10 @@ class Histogram:
 
 
 def histogram(doc: MathDoc, scope: str = "whole", include_structural: bool = False) -> Histogram:
-    """Element-name histogram of a document or one of its branches.
-
-    Structural wrappers (math, semantics, annotation, annotation-xml) are
-    excluded unless ``include_structural`` is set.
-    """
-    handles = doc.branch(None if scope == "whole" else scope)
-    return Histogram(Counter(
-        node.name for node in doc.nodes[handles.start:handles.stop]
-        if include_structural or node.name not in STRUCTURAL_NAMES
-    ))
+    """Element-name histogram of a document or one of its branches, without
+    the structural wrappers (math, semantics, annotation, annotation-xml)
+    unless ``include_structural`` is set."""
+    return collection_histogram((doc,), scope, include_structural)
 
 
 def accumulate(histograms: Iterable[Histogram]) -> Histogram:
@@ -191,6 +185,9 @@ class CostConfig:
     def __post_init__(self):
         for op in ("insert", "delete", "rename"):
             object.__setattr__(self, op, _cost(getattr(self, op), f"{op} cost"))
+
+
+_UNIT_COSTS = CostConfig()
 
 
 def _flatten(tree: Union[MathDoc, MathNode], label_mode: str) -> tuple[tuple, tuple, tuple, tuple]:
@@ -448,7 +445,7 @@ def tree_edit_distance(
     if label_mode not in ("name", "name-text"):
         raise ValueError(f"unknown label mode {label_mode!r}")
     if costs is None:
-        costs = CostConfig()
+        costs = _UNIT_COSTS
     elif not isinstance(costs, CostConfig):
         raise TypeError(f"costs must be a CostConfig, not {type(costs).__name__}")
     labels_a, lml_a, keyroots_a, levels_a = _flatten(a, label_mode)
@@ -655,12 +652,16 @@ HISTOGRAM_MEASURES: Mapping[str, Callable[..., float]] = MappingProxyType({
 
 def collection_histogram(docs: Iterable[MathDoc], scope: str = "whole",
                          include_structural: bool = False) -> Histogram:
-    """Accumulated histogram of a non-empty document collection; each
-    document is reduced to its histogram as it is read."""
-    hists = [histogram(doc, scope, include_structural) for doc in docs]
-    if not hists:
+    """Accumulated histogram of a non-empty document collection: each
+    document's names are counted as it is read, into one count."""
+    counts, read = Counter(), 0
+    for read, doc in enumerate(docs, 1):
+        handles = doc.branch(None if scope == "whole" else scope)
+        counts.update(node.name for node in doc.nodes[handles.start:handles.stop]
+                      if include_structural or node.name not in STRUCTURAL_NAMES)
+    if not read:
         raise ValueError("document collections must be non-empty")
-    return accumulate(hists)
+    return Histogram(counts)
 
 
 def document_distance(a_docs: Iterable[MathDoc], b_docs: Iterable[MathDoc],

@@ -1,6 +1,9 @@
 import io
 import math
+import pathlib
+import re
 import sys
+import timeit
 
 import pytest
 
@@ -324,3 +327,90 @@ class TestParserReuse:
         assert code == 2
         assert err.endswith("mml dist: error: argument --costs: "
                             "insert cost must be finite and non-negative\n")
+
+
+#: The same two collections, left L1 and XY, right THREE and L1, in each
+#: form that doc-dist takes; ``-`` reads L1 from standard input.
+DOC_DIST_SIDES = {
+    "repeated": ["-a", "L1", "-a", "XY", "-b", "THREE", "-b", "L1"],
+    "long": ["--left", "L1", "--left", "XY", "--right", "THREE", "--right", "L1"],
+    "equals": ["--left=L1", "--left=XY", "--right=THREE", "--right=L1"],
+    "interleaved": ["-b", "THREE", "-a", "L1", "--right", "L1", "--left", "XY"],
+    "stdin": ["-a", "-", "-a", "XY", "-b", "THREE", "-b", "L1"],
+    "list": ["-a", "L1", "XY", "-b", "THREE", "L1"],
+    "list-and-repeated": ["-a", "L1", "-b", "THREE", "L1", "-a", "XY"],
+}
+
+
+@pytest.mark.parametrize("form", list(DOC_DIST_SIDES))
+@pytest.mark.parametrize("measure", list(mmlkit.similarity.HISTOGRAM_MEASURES))
+def test_every_form_of_the_doc_dist_sides_prints_the_same_value(form, measure, invoke, paths,
+                                                                listing1_text):
+    sides = [re.sub("L1|XY|THREE", lambda name: paths[name[0]], token)
+             for token in DOC_DIST_SIDES[form]]
+    docs = {name: mmlkit.parse(pathlib.Path(paths[name]).read_text(encoding="utf-8"))[0]
+            for name in ("L1", "XY", "THREE")}
+    value = mmlkit.similarity.document_distance(
+        [docs["L1"], docs["XY"]], [docs["THREE"], docs["L1"]], measure)
+    assert invoke(["doc-dist", "--measure", measure, *sides], stdin=listing1_text) == (
+        0, cli.format_number(value) + "\n", "")
+
+
+def test_doc_dist_arguments_parse_in_linear_time(paths):
+    # argparse scans every option's place before each option it reads, so
+    # one flag per file would be quadratic; the flags of a side are folded
+    # into one, as a list of files is given
+    parser = cli._build_parser()
+
+    def seconds(n):
+        argv = ["doc-dist", "--measure", "emd"]
+        argv += [token for _ in range(n) for token in ("-a", paths["L1"])]
+        argv += [token for _ in range(n) for token in ("--right", paths["XY"])]
+        args = parser.parse_args(cli._fold_sides(argv))
+        assert (args.left, args.right) == ([paths["L1"]] * n, [paths["XY"]] * n)
+        return min(timeit.repeat(lambda: parser.parse_args(cli._fold_sides(argv)),
+                                 number=1, repeat=3))
+
+    assert seconds(1600) <= 6 * seconds(400)
+
+
+@pytest.mark.parametrize("argv", [
+    ["-a", "L1", "-a", "-b", "XY"],
+    ["-a", "L1", "-a", "--", "-b", "XY"],
+    ["--left", "-x", "-b", "XY"],
+    ["-aL1", "-a", "XY", "-b", "XY"],
+    ["--lef", "L1", "-a", "XY", "-b", "XY", "-b", "-5"],
+    ["-a", "L1", "--", "-a", "XY", "-b", "XY"],
+    ["-a", "L1", "-b", "XY", "--", "-a", "L1", "-a", "XY"],
+])
+def test_folding_the_sides_leaves_what_argparse_reads(argv, paths):
+    # a pair whose value starts with "-", an attached value, an
+    # abbreviation and whatever follows "--" are left as they are
+    argv = ["doc-dist", "--measure", "emd", *fill(argv, paths)]
+
+    def outcome(vector):
+        try:
+            return vars(cli._build_parser().parse_args(vector))
+        except cli._Exit as exc:
+            return exc.args
+
+    assert outcome(cli._fold_sides(argv)) == outcome(argv)
+
+
+@pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "lone-cr"])
+def test_parse_reads_any_line_ending(ending, invoke, listing1_text, golden_dir, tmp_path):
+    # the file is read as bytes; the XML parser normalizes line breaks
+    path = tmp_path / "listing1.mml"
+    path.write_bytes(listing1_text.replace("\n", ending).encode("utf-8"))
+    assert "\r" in path.read_bytes().decode("utf-8")
+    expected = (golden_dir / "parse_listing1.txt").read_text(encoding="utf-8")
+    assert invoke(["parse", str(path)]) == (0, expected, "")
+
+
+def test_a_late_byte_that_is_not_utf8_is_named_by_its_offset(invoke, listing1_text, tmp_path):
+    path = tmp_path / "late.mml"
+    body = listing1_text.encode("utf-8")
+    path.write_bytes(body + b" " * (9013 - len(body)) + b"\xff</math>")
+    assert invoke(["parse", str(path)]) == (
+        1, "", f"mml parse: error: {path}: not UTF-8 text: 'utf-8' codec can't decode "
+               "byte 0xff in position 9013: invalid start byte\n")

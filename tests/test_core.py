@@ -497,6 +497,15 @@ class TestLenientRepairs:
         assert core._repair(text) == (text, [], [])
         assert read == [f'<math xmlns="{NS}">'.encode(), b'<mi a="&amp;&#x26;">']
 
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.sampled_from([b":", b"&", b"#", b";", b"amp", b"lt", b"gt", b"quot",
+                                     b"apos", b"am", b"alpha", b"x", b"<mi>", b"\n"]),
+                    max_size=40).map(b"".join))
+    def test_the_scan_stops_past_the_last_colon_or_rewritable_ampersand(self, text):
+        # the backtracking expression that found the stop point before
+        tail = re.match(rb".*(?::|&(?!#|(?:amp|lt|gt|quot|apos);))", text, re.S)
+        assert core._last_repairable(text) == (tail.end() - 1 if tail else -1)
+
     def test_distinct_expanded_names_and_an_empty_default_namespace_parse(self):
         text = (f'<math xmlns="{NS}" xmlns:a="urn:s" xmlns:b="urn:t">'
                 '<mi a:x="1" b:x="2" xmlns="">x</mi></math>')

@@ -364,6 +364,8 @@ file_contents = st.one_of(
 #: File arguments: the run writes three files; a tenth of the arguments name none.
 FILE_NAMES = ("file0", "file1", "file2")
 FILES = st.sampled_from(FILE_NAMES * 3 + ("missing",))
+#: The files of one doc-dist side flag: one, or a list of them.
+SIDE_FILES = st.one_of(FILES, st.lists(FILES, min_size=1, max_size=3))
 MODE = st.sampled_from(["--strict", "--lenient"])
 BRANCHES = st.sampled_from(["presentation", "content", "both", ""])
 MEASURES = st.sampled_from(["ted", "hist-abs", "hist-rel", "emd", "cosine", "l2"])
@@ -384,7 +386,8 @@ COMMAND_FLAGS = {
     "dist": ((("--measure", MEASURES),), HISTOGRAM_FLAGS + (
         ("--costs", st.sampled_from(["1,1,1", "1,1,0.5", "nan,1,1", "-1,0,0", "1e400,1,1", "1"])),
         ("--label-mode", st.sampled_from(["name", "name-text", "text"])))),
-    "doc-dist": ((("--measure", MEASURES), ("-a", FILES), ("-b", FILES)), HISTOGRAM_FLAGS),
+    "doc-dist": ((("--measure", MEASURES), ("-a", SIDE_FILES), ("-b", SIDE_FILES)),
+                 HISTOGRAM_FLAGS),
     "convert": ((("--name", st.sampled_from(["identity", "echo-frac", "fail", "garbage", "x"])),),
                 (("--pretty", None), ("--converters", FILES), ("--tex", selector_text))),
     "gold-validate": ((("--gold", FILES),), ()),
@@ -399,14 +402,15 @@ def cli_runs(draw):
     """File contents and an argument vector for ``cli.run``: a subcommand,
     its required flags (one in ten left out), some other flags (repeats and
     a mode switch included), and file arguments, now and then one too many
-    or an unknown flag."""
+    or an unknown flag.  A doc-dist side flag takes one file or a list."""
     command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
     required, optional = COMMAND_FLAGS[command]
     flags = [flag for flag in required if draw(st.integers(min_value=0, max_value=9))]
     flags += draw(st.lists(st.sampled_from(optional), max_size=3)) if optional else []
     argv = [command]
     for flag, values in flags:
-        argv += [flag] if values is None else [flag, draw(values)]
+        value = [] if values is None else draw(values)
+        argv += [flag, *value] if isinstance(value, list) else [flag, value]
     if command not in ("convert", "gold-validate"):
         argv += draw(st.lists(MODE, max_size=2))
     count = draw(FILE_COUNTS.get(command, st.integers(min_value=1, max_value=3)))

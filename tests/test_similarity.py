@@ -117,6 +117,37 @@ class TestHistogramOp:
             assert mmlkit.accumulate([a, b]) == mmlkit.accumulate([b, a])
 
 
+@settings(max_examples=200, deadline=None)
+@given(seeds=st.lists(st.integers(min_value=0, max_value=2**32 - 1), min_size=1, max_size=6),
+       scope=st.sampled_from(["whole", "presentation", "content"]),
+       include_structural=st.booleans())
+@example(seeds=[0, 2, 1, 5], scope="content", include_structural=False)  # the third lacks it
+def test_a_collection_is_counted_as_the_sum_of_its_histograms(seeds, scope,
+                                                               include_structural):
+    docs = [generators.random_doc(random.Random(seed)) for seed in seeds]
+
+    def outcome(total):
+        """What ``total`` gives on the documents, read one by one, and how
+        many it read."""
+        read = []
+
+        def each():
+            for doc in docs:
+                read.append(doc)
+                yield doc
+
+        try:
+            result = total(each())
+        except MissingBranch:
+            result = MissingBranch
+        return result, len(read)
+
+    counted = outcome(lambda each: mmlkit.similarity.collection_histogram(
+        each, scope, include_structural))
+    assert counted == outcome(lambda each: mmlkit.accumulate(
+        mmlkit.histogram(doc, scope, include_structural) for doc in each))
+
+
 class TestHistogramDistances:
     def test_absolute_frozen_values(self):
         a = Histogram({"mfrac": 1, "mi": 2})
