@@ -55,13 +55,12 @@ def format_number(value: float) -> str:
     return text
 
 
-def _read_input(path: str, keep_line_ends: bool = False) -> str:
+def _read_input(path: str) -> str:
     try:
         if path == "-":
             return sys.stdin.read()
         with open(path, "rb", buffering=0) as handle:
-            text = handle.read().decode("utf-8")
-        return text if keep_line_ends else text.replace("\r\n", "\n").replace("\r", "\n")
+            return handle.read().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except UnicodeDecodeError as exc:
         raise MalformedInput(f"{path}: not UTF-8 text: {exc}") from None
 
@@ -203,14 +202,14 @@ def _fold_sides(argv):
     end = argv.index("--") if "--" in argv else len(argv)
     plain = [i < end and (t == "-" or t[:1] != "-") for i, t in enumerate(argv)] + [False]
     return [token for i, token in enumerate(argv) if not (
-        2 < i < end and token in _SIDES and plain[i + 1] and plain[i - 1]
+        2 < i and token in _SIDES and plain[i + 1] and plain[i - 1]
         and _SIDES.get(argv[i - 2]) == _SIDES[token])]
 
 
 def _load_docs(paths, mode) -> Iterator[core.MathDoc]:
     """Parse the inputs lazily: each result is written before the next is read."""
     for path in paths:
-        yield core.parse(_read_input(path, keep_line_ends=True), mode)[0]  # expat normalizes
+        yield core.parse(_read_input(path), mode)[0]
 
 
 def _cmd_write_docs(args, out):

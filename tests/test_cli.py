@@ -6,6 +6,8 @@ import sys
 import timeit
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mmlkit
 from mmlkit import cli
@@ -356,22 +358,35 @@ def test_every_form_of_the_doc_dist_sides_prints_the_same_value(form, measure, i
         0, cli.format_number(value) + "\n", "")
 
 
-def test_doc_dist_arguments_parse_in_linear_time(paths):
+def test_doc_dist_arguments_parse_in_linear_time(paths, monkeypatch):
     # argparse scans every option's place before each option it reads, so
     # one flag per file would be quadratic; the flags of a side are folded
-    # into one, as a list of files is given
+    # into one, as a list of files is given.  The file check is stubbed out
+    # so that only the parse is timed.
+    monkeypatch.setattr(cli, "_path", str)
     parser = cli._build_parser()
 
     def seconds(n):
         argv = ["doc-dist", "--measure", "emd"]
         argv += [token for _ in range(n) for token in ("-a", paths["L1"])]
         argv += [token for _ in range(n) for token in ("--right", paths["XY"])]
-        args = parser.parse_args(cli._fold_sides(argv))
+        folded = cli._fold_sides(argv)
+        assert folded == ["doc-dist", "--measure", "emd", "-a", *[paths["L1"]] * n,
+                          "--right", *[paths["XY"]] * n]
+        args = parser.parse_args(folded)
         assert (args.left, args.right) == ([paths["L1"]] * n, [paths["XY"]] * n)
         return min(timeit.repeat(lambda: parser.parse_args(cli._fold_sides(argv)),
-                                 number=1, repeat=3))
+                                 number=1, repeat=7))
 
     assert seconds(1600) <= 6 * seconds(400)
+
+
+def parse_outcome(argv):
+    """What argparse makes of a command line: its namespace, or its exit."""
+    try:
+        return vars(cli._build_parser().parse_args(argv))
+    except cli._Exit as exc:
+        return exc.args
 
 
 @pytest.mark.parametrize("argv", [
@@ -382,19 +397,30 @@ def test_doc_dist_arguments_parse_in_linear_time(paths):
     ["--lef", "L1", "-a", "XY", "-b", "XY", "-b", "-5"],
     ["-a", "L1", "--", "-a", "XY", "-b", "XY"],
     ["-a", "L1", "-b", "XY", "--", "-a", "L1", "-a", "XY"],
+    ["-a", "L1", "--left", "-", "-a", "XY", "-b", "XY", "-b", "L1", "--", "L1"],
+    ["-b", "XY", "--right", "missing", "-a", "L1", "-a", "-5"],
 ])
 def test_folding_the_sides_leaves_what_argparse_reads(argv, paths):
     # a pair whose value starts with "-", an attached value, an
     # abbreviation and whatever follows "--" are left as they are
     argv = ["doc-dist", "--measure", "emd", *fill(argv, paths)]
+    assert parse_outcome(cli._fold_sides(argv)) == parse_outcome(argv)
 
-    def outcome(vector):
-        try:
-            return vars(cli._build_parser().parse_args(vector))
-        except cli._Exit as exc:
-            return exc.args
 
-    assert outcome(cli._fold_sides(argv)) == outcome(argv)
+SIDE_FLAGS = ["-a", "--left", "-b", "--right"]
+SIDE_VALUES = ["-", "--", "--lef", "-x", "-5", "L1", "XY", "missing"]
+#: Mostly flag-and-value pairs, so that about a third of the vectors fold.
+side_pair = st.tuples(st.sampled_from(SIDE_FLAGS), st.sampled_from(SIDE_VALUES))
+side_chunk = st.one_of(side_pair, side_pair, side_pair,
+                       st.tuples(st.sampled_from(SIDE_FLAGS + SIDE_VALUES)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(chunks=st.lists(side_chunk, max_size=10))
+def test_folding_random_sides_leaves_what_argparse_reads(chunks, paths):
+    tokens = [token for chunk in chunks for token in chunk]
+    argv = ["doc-dist", "--measure", "emd", *fill(tokens, paths)]
+    assert parse_outcome(cli._fold_sides(argv)) == parse_outcome(argv)
 
 
 @pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "lone-cr"])
