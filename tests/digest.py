@@ -14,6 +14,16 @@ override ground.  Each pair is drawn from its own ``random.Random(seed)``,
 0 to 6 keys a side, with counts of a few units, of up to 64 bits, or of up to
 2,000 bits, so sums pass the floats and empty sides raise.
 
+``doc``: one line per document and output: the SHA-256 of ``serialize``,
+compact and pretty, of ``canonicalize`` (marked ``same`` when it returns
+the document itself) and of ``clean`` under every non-empty subset of
+``CLEANABLE_FEATURES`` (or ``WouldBeEmpty``).  Each document is drawn from
+its own ``random.Random(seed)``: from ``random_doc``, ``multi_semantics_root``
+or ``shuffled_shared_root`` in turn, once as drawn and once as a copy with
+every attribute tuple and the children of every semantics element shuffled,
+some leaf texts and an ``alttext`` attribute holding characters that
+serialization escapes, and shared subtrees still shared.
+
 ``tests/data/<name>_digest.txt`` holds the lines, and a Tier-1 test compares
 them; the first differing line names its case.  A file is made on a commit
 whose values are known good, by redirecting the printed lines:
@@ -24,13 +34,17 @@ only.
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import pathlib
 import random
 import sys
 
 import generators
-from mmlkit import (CostConfig, EmptyHistogram, GroundDistance, Histogram, emd,
-                    tree_edit_distance)
+from mmlkit import (CostConfig, EmptyHistogram, GroundDistance, Histogram, MathDoc, MathNode,
+                    WouldBeEmpty, clean, emd, serialize, tree_edit_distance)
+from mmlkit.convert import canonicalize
+from mmlkit.core import CLEANABLE_FEATURES
 from mmlkit.similarity import HISTOGRAM_MEASURES
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -105,7 +119,76 @@ def hist_lines() -> list[str]:
     return out
 
 
-DIGESTS = {"ted": ted_lines, "hist": hist_lines}
+DOCS = 300
+#: Values with every character that serialization escapes in text or in attributes.
+ESCAPED = ("a&b", "x<y", "y>x", 'say "q"', "a\tb", "a\nb", "a\rb", "&amp;\r\n<>")
+FEATURE_SETS = [features for size in range(1, len(CLEANABLE_FEATURES) + 1)
+                for features in itertools.combinations(sorted(CLEANABLE_FEATURES), size)]
+
+
+def shuffled(rng: random.Random, root: MathNode) -> MathNode:
+    """A copy of ``root``'s tree with every attribute tuple and the children
+    of every semantics element in random order, a random ``alttext`` on some
+    elements and some leaf texts from :data:`ESCAPED`; a subtree shared in
+    ``root`` is one shared copy."""
+    copies: dict[int, MathNode] = {}
+
+    def build(node: MathNode) -> MathNode:
+        if id(node) not in copies:
+            children = [build(child) for child in node.children]
+            if node.name == "semantics":
+                rng.shuffle(children)
+            attributes = list(node.attributes)
+            if rng.random() < 0.2:
+                attributes.append(("alttext", rng.choice(ESCAPED)))
+            rng.shuffle(attributes)
+            text = node.text
+            if text is not None and rng.random() < 0.2:
+                text = rng.choice(ESCAPED)
+            copies[id(node)] = MathNode(node.name, tuple(attributes), text, tuple(children))
+        return copies[id(node)]
+
+    return build(root)
+
+
+def document(seed: int) -> tuple[str, MathDoc, MathDoc]:
+    """The kind, the drawn document and its shuffled copy of document ``seed``."""
+    rng = random.Random(seed)
+    kind = ("doc", "multi", "shared")[seed % 3]
+    if kind == "doc":
+        root = generators.random_doc(rng).root
+    elif kind == "multi":
+        root = generators.multi_semantics_root(rng)
+    else:
+        root = generators.shuffled_shared_root(rng)
+    return kind, MathDoc(root), MathDoc(shuffled(rng, root))
+
+
+def sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def doc_lines() -> list[str]:
+    out = []
+    for seed in range(DOCS):
+        kind, *docs = document(seed)
+        for copy, doc in zip(("drawn", "shuffled"), docs):
+            head = f"{seed} {kind} {copy}"
+            out.append(f"{head} serialize {sha(serialize(doc))}\n")
+            out.append(f"{head} pretty {sha(serialize(doc, pretty=True))}\n")
+            canon = canonicalize(doc)
+            out.append(f"{head} canonicalize {'same' if canon is doc else 'new'} "
+                       f"{sha(serialize(canon))}\n")
+            for features in FEATURE_SETS:
+                try:
+                    value = sha(serialize(clean(doc, features)))
+                except WouldBeEmpty as error:
+                    value = type(error).__name__
+                out.append(f"{head} clean {','.join(features)} {value}\n")
+    return out
+
+
+DIGESTS = {"ted": ted_lines, "hist": hist_lines, "doc": doc_lines}
 
 
 if __name__ == "__main__":

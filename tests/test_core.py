@@ -26,6 +26,7 @@ from mmlkit.core import (
     REPAIR_NAMESPACE_INSERTED,
 )
 
+import digest
 import generators
 import oracles
 
@@ -981,6 +982,13 @@ class TestSerialization:
     def test_serialize_node_has_no_namespace(self, listing1_doc):
         fragment = mmlkit.serialize_node(listing1_doc.node(3))
         assert fragment == '<mi id="p.1" xref="c.2">a</mi>'
+
+    def test_documents_match_the_digest(self):
+        # SHA-256 of serialize, compact and pretty, canonicalize and every clean
+        # of seeded documents, as drawn and with attributes and semantics
+        # children shuffled; tests/digest.py draws them
+        expected = digest.path("doc").read_text(encoding="utf-8").splitlines(keepends=True)
+        assert digest.doc_lines() == expected
 
     def test_random_docs_round_trip_strict(self):
         rng = random.Random(11)
