@@ -246,20 +246,29 @@ def canonicalize(
     The built-in canonicalizer sorts attributes by key and orders the
     children of semantics as presentation, content annotation-xml, other
     annotation-xml, then annotations; it is idempotent and preserves the
-    element multiset.  The result shares every subtree that is already
-    canonical with ``doc``, and a canonical ``doc`` comes back as itself.
+    element multiset.  One pass over ``doc.nodes`` finds the nodes out of
+    either order: ``doc`` itself comes back when there are none, and else
+    only they and their ancestors are new; the rest is shared with ``doc``.
     When ``adapter`` names a registered converter-style tool, the serialized
     document is piped through that tool instead.
     """
     if adapter is not None:
         return convert(adapter, core.serialize(doc), registry).mathml
 
-    def rebuild(_handle: int, node: MathNode, children: tuple[MathNode, ...]):
-        attributes = node.attributes
-        if len(attributes) > 1 and not all(map(le, attributes, attributes[1:])):
-            attributes = sorted(attributes)
+    rank = core._semantics_rank
+    unordered = {  # the nodes out of order, found with no Python call per node
+        handle for handle, node in enumerate(doc.nodes)
+        if len(node.attributes) > 1 and not all(map(le, node.attributes, node.attributes[1:]))
+        or node.name == "semantics"
+        and not all(map(le, ranks := [*map(rank, node.children)], ranks[1:]))}
+    if not unordered:
+        return doc
+
+    def rebuild(handle: int, node: MathNode, children: tuple[MathNode, ...]):
+        if handle not in unordered:
+            return node.attributes, children
         if node.name == "semantics":
-            children = sorted(children, key=core._semantics_rank)
-        return attributes, children
+            children = sorted(children, key=rank)
+        return sorted(node.attributes), children
 
     return core._rebuild(doc, rebuild)

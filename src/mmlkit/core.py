@@ -210,19 +210,21 @@ class MathNode:
         return f"<MathNode {' '.join(bits)}>"
 
 
-_set_field = object.__setattr__  # frozen dataclass fields are set through object
+_set_name, _set_attributes, _set_text, _set_children = (
+    getattr(MathNode, field).__set__ for field in ("name", "attributes", "text", "children"))
 
 
 def _node(name: str, attributes: tuple[tuple[str, str], ...], text: Optional[str],
           children: tuple[MathNode, ...]) -> MathNode:
     """A :class:`MathNode` from parts already known to be valid: an element
     expat accepted, or a rebuild of existing nodes.  ``attributes`` and
-    ``children`` must be tuples; none of the constructor's checks run."""
+    ``children`` must be tuples; none of the constructor's checks run, and
+    the slots' own setters bypass the frozen class's ``__setattr__``."""
     node = object.__new__(MathNode)
-    _set_field(node, "name", name)
-    _set_field(node, "attributes", attributes)
-    _set_field(node, "text", text)
-    _set_field(node, "children", children)
+    _set_name(node, name)
+    _set_attributes(node, attributes)
+    _set_text(node, text)
+    _set_children(node, children)
     return node
 
 
@@ -754,9 +756,9 @@ class _Builder:
         keys, values = attrs[0::2], attrs[1::2]
         if stack and ":" not in name and "xmlns" not in keys and ":" not in "".join(keys):
             # below the root, no prefix and no declaration: nothing to judge, bind or drop
-            pairs, replaced = list(zip(keys, values)), ()
+            pairs, replaced = tuple(zip(keys, values)), ()
         else:
-            pairs = [pair for pair in zip(keys, values) if pair != ("xmlns", MATHML_NS)]
+            pairs = tuple(pair for pair in zip(keys, values) if pair != ("xmlns", MATHML_NS))
             replaced = [(k[6:], self._scope.get(k[6:])) for k in keys if k.startswith("xmlns:")]
             if self.violation is None:  # the judge binds the declarations in place
                 self.violation = _namespace_violation(
@@ -769,8 +771,8 @@ class _Builder:
         name, pairs, text_parts, children, replaced, handle = self._stack.pop()
         if replaced:
             _unbind(self._scope, replaced)
-        text = "".join(text_parts).strip(" \t\r\n")
-        node = _node(name, tuple(pairs), text or None, tuple(children))
+        text = "".join(text_parts).strip(" \t\r\n") or None if text_parts else None
+        node = _node(name, pairs, text, tuple(children))
         self.nodes[handle] = node
         if self._stack:
             self._stack[-1][3].append(node)
@@ -899,33 +901,35 @@ _TEXT_SPECIALS = re.compile("[&<>\r]")
 _ATTR_SPECIALS = re.compile('[&<>"\t\n\r]')
 
 
-def _escape(value: str, specials: re.Pattern = _TEXT_SPECIALS) -> str:
-    if specials.search(value) is None:  # most values need none; a search beats a sub
-        return value
+def _escape(value: str, specials: re.Pattern) -> str:
     return specials.sub(lambda match: _ESCAPES[match[0]], value)
 
 
 def _emit(nodes: tuple[MathNode, ...], sizes: tuple[int, ...], pretty: bool) -> str:
     """XML for a tree given by preorder nodes and subtree sizes (as from
-    :func:`_parents_and_sizes`)."""
+    :func:`_parents_and_sizes`).  Only a value that its escape pattern
+    matches goes through :func:`_escape`: most need no reference."""
     out: list[str] = []
     stack: list[tuple[int, str]] = []  # (end of subtree, end tag) per open ancestor
+    attr_special, text_special = _ATTR_SPECIALS.search, _TEXT_SPECIALS.search
     for handle, node in enumerate(nodes):
-        name, text = node.name, node.text
+        name, text, attributes = node.name, node.text, node.attributes
         indent = "  " * len(stack) if pretty else ""
-        attrs = "".join(
-            f' {key}="{_escape(value, _ATTR_SPECIALS)}"' for key, value in node.attributes
-        ) if node.attributes else ""
+        attrs = ""
+        for key, value in attributes:
+            attrs += f' {key}="{_escape(value, _ATTR_SPECIALS) if attr_special(value) else value}"'
+        if text is not None and text_special(text):
+            text = _escape(text, _TEXT_SPECIALS)
         if sizes[handle] > 1:
             out.append(f"{indent}<{name}{attrs}>")
             if text is not None:
-                out.append(("  " * (len(stack) + 1) if pretty else "") + _escape(text))
+                out.append(("  " * (len(stack) + 1) if pretty else "") + text)
             stack.append((handle + sizes[handle], f"{indent}</{name}>"))
             continue
         if text is None:
             out.append(f"{indent}<{name}{attrs}/>")
         else:
-            out.append(f"{indent}<{name}{attrs}>{_escape(text)}</{name}>")
+            out.append(f"{indent}<{name}{attrs}>{text}</{name}>")
         while stack and stack[-1][0] == handle + 1:
             out.append(stack.pop()[1])
     return "\n".join(out) if pretty else "".join(out)

@@ -18,7 +18,7 @@ from importlib import resources
 from itertools import chain
 from typing import Optional, Union
 
-from .core import MathDoc, MathNode
+from .core import MathDoc
 from .errors import PathSyntaxError, UnknownName
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9._\-]*")
@@ -163,17 +163,13 @@ def render(query: Query) -> str:
     return "".join(parts)
 
 
-def _matches(node: MathNode, step: Step) -> bool:
-    if step.test != "*" and node.name != step.test:
-        return False
-    return all(node.attr(key) == value for key, value in step.predicates)
-
-
 def select(doc: MathDoc, query: Query) -> list[int]:
     """Handles of all nodes matching the query, in document order.  Each step
     turns ascending handles into ascending handles: a descendant step skips a
     context whose interval lies in one already scanned, so it reads each handle
-    at most once; a child step sorts, since nested contexts' children interleave."""
+    at most once; a child step sorts, since nested contexts' children interleave.
+    A step keeps the candidates its name test accepts, then, per predicate,
+    those holding its (key, value) pair: a node's keys are unique."""
     if isinstance(query, PathUnion):
         return sorted({h for alt in query.alternatives for h in select(doc, alt)})
     nodes = doc.nodes
@@ -189,7 +185,11 @@ def select(doc: MathDoc, query: Query) -> list[int]:
                     spans.append(span)
                     end = span.stop
             candidates = chain.from_iterable(spans)
-        frontier = [h for h in candidates if _matches(nodes[h], step)]
+        test = step.test
+        frontier = list(candidates) if test == "*" else [
+            h for h in candidates if nodes[h].name == test]
+        for pair in step.predicates:
+            frontier = [h for h in frontier if pair in nodes[h].attributes]
     return frontier  # type: ignore[return-value]
 
 
