@@ -19,10 +19,10 @@ compact and pretty, of ``canonicalize`` (marked ``same`` when it returns
 the document itself) and of ``clean`` under every non-empty subset of
 ``CLEANABLE_FEATURES`` (or ``WouldBeEmpty``).  Each document is drawn from
 its own ``random.Random(seed)``: from ``random_doc``, ``multi_semantics_root``
-or ``shuffled_shared_root`` in turn, once as drawn and once as a copy with
-every attribute tuple and the children of every semantics element shuffled,
-some leaf texts and an ``alttext`` attribute holding characters that
-serialization escapes, and shared subtrees still shared.
+or ``shuffled_shared_root`` in turn, once as drawn and once as the copy
+``generators.shuffled`` makes: attributes and the children of semantics
+shuffled, some values holding characters that serialization escapes, and
+shared subtrees still shared.
 
 ``tests/data/<name>_digest.txt`` holds the lines, and a Tier-1 test compares
 them; the first differing line names its case.  A file is made on a commit
@@ -41,7 +41,7 @@ import random
 import sys
 
 import generators
-from mmlkit import (CostConfig, EmptyHistogram, GroundDistance, Histogram, MathDoc, MathNode,
+from mmlkit import (CostConfig, EmptyHistogram, GroundDistance, Histogram, MathDoc,
                     WouldBeEmpty, clean, emd, serialize, tree_edit_distance)
 from mmlkit.convert import canonicalize
 from mmlkit.core import CLEANABLE_FEATURES
@@ -120,35 +120,8 @@ def hist_lines() -> list[str]:
 
 
 DOCS = 300
-#: Values with every character that serialization escapes in text or in attributes.
-ESCAPED = ("a&b", "x<y", "y>x", 'say "q"', "a\tb", "a\nb", "a\rb", "&amp;\r\n<>")
 FEATURE_SETS = [features for size in range(1, len(CLEANABLE_FEATURES) + 1)
                 for features in itertools.combinations(sorted(CLEANABLE_FEATURES), size)]
-
-
-def shuffled(rng: random.Random, root: MathNode) -> MathNode:
-    """A copy of ``root``'s tree with every attribute tuple and the children
-    of every semantics element in random order, a random ``alttext`` on some
-    elements and some leaf texts from :data:`ESCAPED`; a subtree shared in
-    ``root`` is one shared copy."""
-    copies: dict[int, MathNode] = {}
-
-    def build(node: MathNode) -> MathNode:
-        if id(node) not in copies:
-            children = [build(child) for child in node.children]
-            if node.name == "semantics":
-                rng.shuffle(children)
-            attributes = list(node.attributes)
-            if rng.random() < 0.2:
-                attributes.append(("alttext", rng.choice(ESCAPED)))
-            rng.shuffle(attributes)
-            text = node.text
-            if text is not None and rng.random() < 0.2:
-                text = rng.choice(ESCAPED)
-            copies[id(node)] = MathNode(node.name, tuple(attributes), text, tuple(children))
-        return copies[id(node)]
-
-    return build(root)
 
 
 def document(seed: int) -> tuple[str, MathDoc, MathDoc]:
@@ -161,7 +134,7 @@ def document(seed: int) -> tuple[str, MathDoc, MathDoc]:
         root = generators.multi_semantics_root(rng)
     else:
         root = generators.shuffled_shared_root(rng)
-    return kind, MathDoc(root), MathDoc(shuffled(rng, root))
+    return kind, MathDoc(root), MathDoc(generators.shuffled(rng, root))
 
 
 def sha(text: str) -> str:

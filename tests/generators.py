@@ -137,6 +137,35 @@ def shuffled_shared_root(rng: random.Random) -> MathNode:
     return build(random_doc(rng).root)
 
 
+#: Values with every character that serialization escapes in text or in attributes.
+ESCAPED = ("a&b", "x<y", "y>x", 'say "q"', "a\tb", "a\nb", "a\rb", "&amp;\r\n<>")
+
+
+def shuffled(rng: random.Random, root: MathNode) -> MathNode:
+    """A copy of ``root``'s tree with every attribute tuple and the children
+    of every semantics element in random order, a random ``alttext`` on some
+    elements and some leaf texts from :data:`ESCAPED`; a subtree shared in
+    ``root`` is one shared copy."""
+    copies: dict[int, MathNode] = {}
+
+    def build(node: MathNode) -> MathNode:
+        if id(node) not in copies:
+            children = [build(child) for child in node.children]
+            if node.name == "semantics":
+                rng.shuffle(children)
+            attributes = list(node.attributes)
+            if rng.random() < 0.2:
+                attributes.append(("alttext", rng.choice(ESCAPED)))
+            rng.shuffle(attributes)
+            text = node.text
+            if text is not None and rng.random() < 0.2:
+                text = rng.choice(ESCAPED)
+            copies[id(node)] = MathNode(node.name, tuple(attributes), text, tuple(children))
+        return copies[id(node)]
+
+    return build(root)
+
+
 def _walk(node: MathNode):
     yield node
     for child in node.children:

@@ -52,6 +52,9 @@ GOLDEN_CASES = [
     ("extract_presentation.txt", ["extract", "--branch", "presentation", "L1"]),
     ("select_identifiers.txt", ["select", "--expr", "//mi | //ci", "L1"]),
     ("select_lib_tex.txt", ["select", "--lib", "tex-annotation", "L1"]),
+    ("select_descendant_chain.txt", ["select", "--expr", "//semantics//mi", "L1"]),
+    ("select_wildcard_chain.txt", ["select", "--expr", "math/*/*", "L1"]),
+    ("select_wildcard_predicate.txt", ["select", "--expr", "//*[@xref='c.1']", "L1"]),
     ("histogram_accumulated.txt", ["histogram", "L1", "XY"]),
     ("histogram_presentation.txt", ["histogram", "--scope", "presentation", "L1"]),
     ("histogram_structural.txt", ["histogram", "--include-structural", "L1"]),

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import random
 import re
@@ -898,6 +899,31 @@ class TestModel:
         assert a.__eq__(1) is NotImplemented and a != 1
         assert repr(a) == "<MathNode mrow children=1>"
         assert repr(c.children[0]) == "<MathNode mi text='y'>"
+
+    @pytest.mark.parametrize("mode", ["lenient", "strict"])
+    def test_parsed_nodes_are_frozen_like_constructed_ones(self, mode, listing1_text):
+        # parse builds its nodes around the constructor; each must still be
+        # frozen, slotted, and equal and hash-equal to its constructed twin
+        def constructed(tree):
+            name, attributes, text, children = tree
+            return MathNode(name, attributes, text, tuple(map(constructed, children)))
+
+        rng = random.Random(5)
+        texts = [listing1_text if mode == "lenient" else CANONICAL_LISTING1] + [
+            mmlkit.serialize(MathDoc(generators.shuffled(rng, generators.random_doc(rng).root)))
+            for _ in range(20)]
+        for text in texts:
+            doc, _ = mmlkit.parse(text, mode)
+            twins = MathDoc(constructed(oracles.node_tree(doc.root))).nodes
+            assert len(twins) == len(doc.nodes)
+            for node, twin in zip(doc.nodes, twins):
+                for field in ("name", "attributes", "text", "children"):
+                    with pytest.raises(dataclasses.FrozenInstanceError):
+                        setattr(node, field, getattr(node, field))
+                    with pytest.raises(dataclasses.FrozenInstanceError):
+                        delattr(node, field)
+                assert not hasattr(node, "__dict__")
+                assert node == twin and twin == node and hash(node) == hash(twin)
 
     def test_doc_requires_math_root(self):
         with pytest.raises(MalformedInput):

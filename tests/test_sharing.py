@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -12,6 +13,7 @@ from mmlkit import MathDoc, MathNode, WouldBeEmpty, core
 from mmlkit.convert import canonicalize
 from mmlkit.core import CLEANABLE_FEATURES
 
+import digest
 import generators
 import oracles
 
@@ -45,6 +47,20 @@ def test_rebuilds_agree_with_plain_rebuilds(seed):
         got, expected = cleaned(doc, features)
         assert got == expected, sorted(features)
     assert mmlkit.serialize(doc) == before
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_canonicalize_returns_the_document_exactly_when_it_is_canonical(seed):
+    # a random_doc, multi_semantics_root or shuffled_shared_root document, and
+    # its copy with attributes and semantics children shuffled; only a
+    # document out of order is rebuilt
+    for doc in digest.document(seed)[1:]:
+        reference = oracles.canonicalize_reference(doc.root)
+        with mock.patch.object(core, "_rebuild", wraps=core._rebuild) as rebuild:
+            result = canonicalize(doc)
+        assert (result is doc) == (reference == doc.root) == (not rebuild.called)
+        assert result == MathDoc(reference)
 
 
 @pytest.fixture()
