@@ -445,6 +445,13 @@ class MathDoc:
     def content_root(self) -> Optional[int]:
         return self._content[0] if self._content else None
 
+    def branch_roots(self, name: str) -> tuple[int, ...]:
+        """Top-level handles of the ``"presentation"`` or ``"content"`` branch, or ``()``."""
+        top = {"presentation": self._presentation, "content": self._content}.get(name)
+        if top is None:
+            raise ValueError(f"unknown branch {name!r}")
+        return top
+
     def branch(self, name: Optional[str]) -> range:
         """Handles of every node in the ``"presentation"`` or ``"content"``
         branch, or in the whole document for ``None``.  A branch's top-level
@@ -452,9 +459,7 @@ class MathDoc:
         ``doc.nodes[r.start:r.stop]`` for the returned range ``r``."""
         if name is None:
             return range(len(self._nodes))
-        top = {"presentation": self._presentation, "content": self._content}.get(name)
-        if top is None:
-            raise ValueError(f"unknown branch {name!r}")
+        top = self.branch_roots(name)
         if not top:
             raise MissingBranch(f"document has no {name} branch")
         return range(top[0], top[-1] + self._sizes[top[-1]])

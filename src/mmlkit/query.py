@@ -6,15 +6,15 @@ name tests, the ``*`` wildcard, attribute-equality predicates
 document node above the math element, so ``math`` selects the root and
 ``//*`` selects every node including the root.
 
-A named catalog of frequently used queries ships with the package as a TSV
-resource and is exposed through :class:`PathLibrary`.
+A named catalog of common queries is exposed through :class:`PathLibrary`;
+its branch-root entries are :class:`BranchRoots`, which :class:`MathDoc` answers.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from importlib import resources
+from functools import cache
 from itertools import chain
 from typing import Optional, Union
 
@@ -74,6 +74,12 @@ class PathUnion:
 
 
 Query = Union[PathExpr, PathUnion]
+
+
+@dataclass(frozen=True)
+class BranchRoots:
+    """The top-level nodes of a branch, as :meth:`MathDoc.branch_roots` gives them."""
+    branch: str  # "presentation" or "content"
 
 
 def _parse_step(text: str, pos: int, axis: str) -> tuple[int, Step]:
@@ -163,13 +169,15 @@ def render(query: Query) -> str:
     return "".join(parts)
 
 
-def select(doc: MathDoc, query: Query) -> list[int]:
+def select(doc: MathDoc, query: Union[Query, BranchRoots]) -> list[int]:
     """Handles of all nodes matching the query, in document order.  Each step
     turns ascending handles into ascending handles: a descendant step skips a
     context whose interval lies in one already scanned, so it reads each handle
     at most once; a child step sorts, since nested contexts' children interleave.
     A step keeps the candidates its name test accepts, then, per predicate,
     those holding its (key, value) pair: a node's keys are unique."""
+    if isinstance(query, BranchRoots):
+        return list(doc.branch_roots(query.branch))
     if isinstance(query, PathUnion):
         return sorted({h for alt in query.alternatives for h in select(doc, alt)})
     nodes = doc.nodes
@@ -200,9 +208,9 @@ def select(doc: MathDoc, query: Query) -> list[int]:
 @dataclass(frozen=True)
 class LibraryEntry:
     name: str
-    text: str
+    text: Optional[str]  # the selector text; None for a BranchRoots query
     description: str
-    query: Query
+    query: Union[Query, BranchRoots]
 
 
 class PathLibrary:
@@ -224,7 +232,7 @@ class PathLibrary:
         except KeyError:
             raise UnknownName(f"no library entry named {name!r}") from None
 
-    def get(self, name: str) -> Query:
+    def get(self, name: str) -> Union[Query, BranchRoots]:
         return self.entry(name).query
 
     def __len__(self):
@@ -249,18 +257,25 @@ class PathLibrary:
         return cls(entries)
 
 
-_default_library: Optional[PathLibrary] = None
+_CATALOG = (
+    ("all-identifiers", "//mi | //ci", "every identifier element in either markup branch"),
+    ("all-presentation-identifiers", "//mi", "every presentation-markup identifier"),
+    ("all-content-identifiers", "//ci", "every content-markup identifier"),
+    ("all-operators", "//mo", "every presentation-markup operator"),
+    ("all-numbers", "//mn | //cn", "every number literal in either markup branch"),
+    ("tex-annotation", "//annotation[@encoding='application/x-tex']", "TeX annotation elements"),
+    ("content-root", BranchRoots("content"), "top-level content markup nodes"),
+    ("presentation-root", BranchRoots("presentation"), "top-level presentation markup nodes"),
+)
 
 
+@cache
 def default_library() -> PathLibrary:
-    """The catalog shipped with the package (loaded once, then cached)."""
-    global _default_library
-    if _default_library is None:
-        text = resources.files(__package__).joinpath("library.tsv").read_text("utf-8")
-        _default_library = PathLibrary.from_tsv(text)
-    return _default_library
+    """The catalog shipped with the package: the rows of ``_CATALOG``, built once."""
+    return PathLibrary([LibraryEntry(name, q, d, parse_selector(q)) if isinstance(q, str)
+                        else LibraryEntry(name, None, d, q) for name, q, d in _CATALOG])
 
 
-def library_get(name: str) -> Query:
+def library_get(name: str) -> Union[Query, BranchRoots]:
     """Look up a query in the default catalog by name."""
     return default_library().get(name)

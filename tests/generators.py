@@ -105,6 +105,34 @@ def multi_semantics_root(rng: random.Random) -> MathNode:
     return MathNode("math", (), None, tuple(top))
 
 
+#: Presentation elements that no list of the common names is likely to hold.
+RARE_PRES = ["mglyph", "mstack", "mlongdiv", "maligngroup", "none"]
+
+
+def branch_root_shapes(rng: random.Random) -> MathNode:
+    """A math element whose branches start where no selector can tell:
+    bare content markup, a bare presentation element of a rare name, or a
+    semantics whose presentation child has a rare name, its annotations
+    kept at random and in random order."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        top = tuple(random_content_tree(rng, 2) for _ in range(rng.randint(1, 2)))
+        return MathNode("math", (), None, top)
+    rare = MathNode(rng.choice(RARE_PRES))
+    if kind == 1:
+        return MathNode("math", (), None, (rare,))
+    annotations = [
+        MathNode("annotation-xml", (("encoding", "MathML-Content"),), None,
+                 (random_content_tree(rng, 2),)),
+        MathNode("annotation-xml", (("encoding", "application/openmath+xml"),), None,
+                 (MathNode("OMA"),)),
+        MathNode("annotation", (("encoding", "application/x-tex"),), "t"),
+    ]
+    kept = [rare] + [part for part in annotations if rng.random() < 0.5]
+    rng.shuffle(kept)
+    return MathNode("math", (), None, (MathNode("semantics", (), None, tuple(kept)),))
+
+
 #: Attributes added in random order by :func:`shuffled_shared_root`.
 EXTRA_ATTRIBUTES = (("class", "k"), ("dir", "rtl"), ("mathvariant", "bold"))
 

@@ -4,7 +4,8 @@ Deliberately naive: exhaustive recursion for tree edit distance, a
 recursive walk for its postorder arrays and a full table for the string edit
 distance of two sequences, unit-mass expansion plus Hungarian
 assignment (and tiny brute force) for the earth mover's distance, an
-ancestor-chain matcher for path selection, a recursive
+ancestor-chain matcher for path selection, a parent test over a branch's
+range for where that branch starts, a recursive
 walk for a document's preorder index, plain recursive rebuilds, which copy
 every node, for canonicalization and cleaning, and ``xml.dom.minidom`` for
 namespace well-formedness and for the element tree a parse should build.
@@ -160,7 +161,18 @@ def _step_matches(node, step) -> bool:
 
 def select_reference(doc, query) -> list[int]:
     """Brute-force path matcher: for every node, check whether some chain of
-    ancestors satisfies the steps right-to-left."""
+    ancestors satisfies the steps right-to-left.  A branch query keeps the
+    nodes of ``doc.branch`` whose parent lies outside that range."""
+    branch = getattr(query, "branch", None)
+    if branch is not None:
+        # imported on use: mmlkit may have been imported afresh since this module was
+        from mmlkit.errors import MissingBranch
+
+        try:
+            span = doc.branch(branch)
+        except MissingBranch:
+            return []
+        return [h for h in span if doc.parent(h) not in span]
     alternatives = getattr(query, "alternatives", None)
     if alternatives is not None:
         hits: set[int] = set()

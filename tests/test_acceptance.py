@@ -341,6 +341,8 @@ def test_criterion_11_cli_golden_determinism_and_exit_codes(data_dir, golden_dir
             "L1": str(data_dir / "listing1.mml"),
             "XY": str(data_dir / "x_plus_y.mml"),
             "THREE": str(data_dir / "three_mi.mml"),
+            "BARE": str(data_dir / "bare_content.mml"),
+            "MGLYPH": str(data_dir / "mglyph_semantics.mml"),
             "GOLD": str(data_dir / "gold_small.json"),
         }
 

@@ -30,6 +30,8 @@ def paths(data_dir):
         "L1": str(data_dir / "listing1.mml"),
         "XY": str(data_dir / "x_plus_y.mml"),
         "THREE": str(data_dir / "three_mi.mml"),
+        "BARE": str(data_dir / "bare_content.mml"),
+        "MGLYPH": str(data_dir / "mglyph_semantics.mml"),
         "UNCLOSED": str(data_dir / "unclosed.mml"),
         "EMPTY": str(data_dir / "empty_math.mml"),
         "GOLD": str(data_dir / "gold_small.json"),
@@ -52,6 +54,9 @@ GOLDEN_CASES = [
     ("extract_presentation.txt", ["extract", "--branch", "presentation", "L1"]),
     ("select_identifiers.txt", ["select", "--expr", "//mi | //ci", "L1"]),
     ("select_lib_tex.txt", ["select", "--lib", "tex-annotation", "L1"]),
+    # where each branch starts on documents no selector reads right
+    ("select_lib_content_root.txt", ["select", "--lib", "content-root", "BARE"]),
+    ("select_lib_presentation_root.txt", ["select", "--lib", "presentation-root", "MGLYPH"]),
     ("select_descendant_chain.txt", ["select", "--expr", "//semantics//mi", "L1"]),
     ("select_wildcard_chain.txt", ["select", "--expr", "math/*/*", "L1"]),
     ("select_wildcard_predicate.txt", ["select", "--expr", "//*[@xref='c.1']", "L1"]),

@@ -1062,6 +1062,14 @@ class TestSplit:
             mmlkit.split_presentation(content_only)
         assert mmlkit.split_content(content_only) == content_only
 
+    def test_branch_roots_and_branch_check_the_name_alike(self):
+        content_only = doc_of(f'<math xmlns="{NS}"><apply><plus/><ci>x</ci></apply></math>')
+        assert content_only.branch_roots("content") == (1,)
+        assert content_only.branch_roots("presentation") == ()
+        for call in (content_only.branch_roots, content_only.branch):
+            with pytest.raises(ValueError, match="unknown branch 'both'"):
+                call("both")
+
 
 class TestTexAndIdentifiers:
     def test_get_tex_absent(self):

@@ -2,10 +2,12 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mmlkit
-from mmlkit import PathExpr, PathSyntaxError, PathUnion, UnknownName
-from mmlkit.query import Step, default_library
+from mmlkit import MathDoc, PathExpr, PathSyntaxError, PathUnion, UnknownName
+from mmlkit.query import BranchRoots, Step, default_library
 
 import generators
 import oracles
@@ -214,6 +216,16 @@ class TestSelect:
             assert all(a < b for a, b in zip(result, result[1:]))
 
 
+#: The catalog's branch entries, each with the branch whose roots it selects.
+BRANCH_ENTRIES = {"content-root": "content", "presentation-root": "presentation"}
+#: Document shapes for the branch entries, each drawn from a seeded generator.
+BRANCH_SHAPES = {
+    "random_doc": generators.random_doc,
+    "multi_semantics_root": lambda rng: MathDoc(generators.multi_semantics_root(rng)),
+    "branch_root_shapes": lambda rng: MathDoc(generators.branch_root_shapes(rng)),
+}
+
+
 class TestLibrary:
     def test_ships_required_entries(self):
         names = set(default_library().names())
@@ -229,11 +241,14 @@ class TestLibrary:
         } <= names
 
     def test_every_entry_parses_from_its_text(self):
+        # the branch entries are no selectors; the property below covers them
         library = default_library()
         for name in library.names():
             entry = library.entry(name)
-            assert mmlkit.parse_selector(entry.text) == entry.query
             assert entry.description
+            if isinstance(entry.query, BranchRoots):
+                continue
+            assert mmlkit.parse_selector(entry.text) == entry.query
 
     def test_unknown_name(self):
         with pytest.raises(UnknownName):
@@ -256,6 +271,27 @@ class TestLibrary:
         assert mmlkit.select(doc, mmlkit.library_get("presentation-root")) == [
             doc.presentation_root
         ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           shape=st.sampled_from(sorted(BRANCH_SHAPES)))
+    def test_branch_entries_select_where_the_document_says_each_branch_starts(
+            self, seed, shape):
+        doc = BRANCH_SHAPES[shape](random.Random(seed))
+        for name, branch in BRANCH_ENTRIES.items():
+            query = mmlkit.library_get(name)
+            assert mmlkit.select(doc, query) == list(doc.branch_roots(branch))
+            assert mmlkit.select(doc, query) == oracles.select_reference(doc, query)
+
+    @pytest.mark.parametrize("body,content,presentation", [
+        ("<apply><plus/><ci>a</ci><ci>b</ci></apply>", [1], []),
+        ('<semantics><mglyph/><annotation-xml encoding="MathML-Content"><ci>x</ci>'
+         "</annotation-xml></semantics>", [4], [2]),
+    ])
+    def test_branch_entries_where_no_selector_can_tell(self, body, content, presentation):
+        doc, _ = mmlkit.parse(f'<math xmlns="{NS}">{body}</math>')
+        assert mmlkit.select(doc, mmlkit.library_get("content-root")) == content
+        assert mmlkit.select(doc, mmlkit.library_get("presentation-root")) == presentation
 
     def test_catalog_agrees_with_reference_on_random_docs(self):
         rng = random.Random(59)

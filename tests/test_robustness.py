@@ -381,7 +381,8 @@ COMMAND_FLAGS = {
     "split": ((("--branch", BRANCHES),), (("--pretty", None),)),
     "extract": ((), (("--branch", BRANCHES),)),
     "select": ((("--expr", selector_text),), (("--lib", st.sampled_from(
-        ["all-identifiers", "tex-annotation", "content-root", "no-such-entry"])),)),
+        ["all-identifiers", "tex-annotation", "content-root", "presentation-root",
+         "no-such-entry"])),)),
     "histogram": ((), HISTOGRAM_FLAGS),
     "dist": ((("--measure", MEASURES),), HISTOGRAM_FLAGS + (
         ("--costs", st.sampled_from(["1,1,1", "1,1,0.5", "nan,1,1", "-1,0,0", "1e400,1,1", "1"])),
