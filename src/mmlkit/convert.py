@@ -246,21 +246,22 @@ def canonicalize(
     The built-in canonicalizer sorts attributes by key and orders the
     children of semantics as presentation, content annotation-xml, other
     annotation-xml, then annotations; it is idempotent and preserves the
-    element multiset.  One pass over ``doc.nodes`` finds the nodes out of
-    either order: ``doc`` itself comes back when there are none, and else
-    only they and their ancestors are new; the rest is shared with ``doc``.
+    element multiset.  One pass over the document's attribute and name
+    columns finds the nodes out of either order, and builds no node:
+    ``doc`` itself comes back when there are none, and else only they and
+    their ancestors are new; the rest is shared with ``doc``.
     When ``adapter`` names a registered converter-style tool, the serialized
     document is piped through that tool instead.
     """
     if adapter is not None:
         return convert(adapter, core.serialize(doc), registry).mathml
 
-    rank = core._semantics_rank
+    rank, names, attributes = core._semantics_rank, doc._names, doc._attributes
     unordered = {  # the nodes out of order, found with no Python call per node
-        handle for handle, node in enumerate(doc.nodes)
-        if len(node.attributes) > 1 and not all(map(le, node.attributes, node.attributes[1:]))
-        or node.name == "semantics"
-        and not all(map(le, ranks := [*map(rank, node.children)], ranks[1:]))}
+        handle for handle, (name, pairs) in enumerate(zip(names, attributes))
+        if len(pairs) > 1 and not all(map(le, pairs, pairs[1:]))
+        or name == "semantics" and not all(map(le, ranks := [
+            rank(names[h], attributes[h]) for h in doc.children_of(handle)], ranks[1:]))}
     if not unordered:
         return doc
 
@@ -268,7 +269,7 @@ def canonicalize(
         if handle not in unordered:
             return node.attributes, children
         if node.name == "semantics":
-            children = sorted(children, key=rank)
+            children = sorted(children, key=lambda child: rank(child.name, child.attributes))
         return sorted(node.attributes), children
 
     return core._rebuild(doc, rebuild)

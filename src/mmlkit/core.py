@@ -15,36 +15,41 @@ one prefix table, restored as each element closes.  The scan reads the UTF-8
 bytes that expat reads, so every offset counts bytes; errors give line and
 column in the original input, also after a repair rewrote it.
 
-The XML parser's handlers build each element's :class:`MathNode` exactly
-once, when the element closes, through :func:`_node`, which skips the public
-constructor's checks; the MathML default namespace declaration is dropped
-and the namespace checks of both modes run in that same pass.  Elements may
-nest at most :data:`MAX_DEPTH` levels deep (the math element is level 1);
-deeper input raises :class:`MalformedInput`.  The bound limits input only:
-``==``, ``hash``, serialization, ``clean`` and ``canonicalize`` are iterative.
+The XML parser's handlers build no nodes: they fill the document's index,
+five columns with one entry per element in preorder (name, attributes,
+text, parent and subtree size); the MathML default namespace declaration
+is dropped and the namespace checks of both modes run in that same pass.
+Elements may nest at most :data:`MAX_DEPTH` levels deep (the math element
+is level 1); deeper input raises :class:`MalformedInput`.  The bound limits
+input only: ``==``, ``hash``, serialization, ``clean`` and ``canonicalize``
+are iterative.
 
-:class:`MathDoc` keeps the tree's nodes in preorder, with each node's parent
-and subtree size: a node's subtree, and each branch, is one contiguous slice
-of ``doc.nodes``.  The nodes come from ``parse``'s handlers, which list them
-as they build the tree, or from :func:`iter_subtree` for any other tree,
-hand-built or rebuilt; parents and sizes come from the nodes alone, in one
-pass of :func:`_parents_and_sizes`.  A node object may occur at several
-places in a hand-built tree; each occurrence has its own handle, and
-:meth:`MathDoc.handle` returns the first of them in preorder.  ``clean`` and
-``canonicalize`` state only their rules, and :func:`_rebuild` alone decides
-what they share with their input: only the nodes on a path from a change to
-the root are new, and an unchanged document comes back as itself.
+:class:`MathDoc` keeps those columns as its one index: a node's subtree,
+and each branch, is one contiguous run of handles.  Names, attributes and
+texts are read from the columns, so counting, selecting, serializing and
+comparing build no node.  A parsed document builds its :class:`MathNode`
+objects on first use, in one bottom-up pass through :func:`_node`, which
+skips the public constructor's checks, and keeps them.  Any other tree,
+hand-built or rebuilt, keeps its own nodes, listed by :func:`iter_subtree`,
+and gets the same columns from them in one pass of :func:`_columns`.  A
+node object may occur at several places in a hand-built tree; each
+occurrence has its own handle, and :meth:`MathDoc.handle` returns the first
+of them in preorder.  ``clean`` and ``canonicalize`` state only their
+rules, and :func:`_rebuild` alone decides what they share with their input:
+only the nodes on a path from a change to the root are new, and an
+unchanged document comes back as itself.
 """
 
 from __future__ import annotations
 
 import re
 import xml.parsers.expat
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from html import unescape
 from html.entities import html5 as _HTML5_ENTITIES
-from operator import is_
+from operator import attrgetter, is_
 from typing import Iterable, Iterator, Optional
 
 from .errors import DuplicateId, MalformedInput, MissingBranch, WouldBeEmpty
@@ -178,10 +183,7 @@ class MathNode:
 
     def attr(self, key: str, default: Optional[str] = None) -> Optional[str]:
         """Value of the attribute ``key``, or ``default`` when absent."""
-        for k, value in self.attributes:
-            if k == key:
-                return value
-        return default
+        return _attr(self.attributes, key, default)
 
     def has_attr(self, key: str) -> bool:
         return any(k == key for k, _ in self.attributes)
@@ -214,6 +216,15 @@ _set_name, _set_attributes, _set_text, _set_children = (
     getattr(MathNode, field).__set__ for field in ("name", "attributes", "text", "children"))
 
 
+def _attr(attributes: tuple[tuple[str, str], ...], key: str,
+          default: Optional[str] = None) -> Optional[str]:
+    """The value paired with ``key`` in ``attributes``, or ``default``."""
+    for k, value in attributes:
+        if k == key:
+            return value
+    return default
+
+
 def _node(name: str, attributes: tuple[tuple[str, str], ...], text: Optional[str],
           children: tuple[MathNode, ...]) -> MathNode:
     """A :class:`MathNode` from parts already known to be valid: an element
@@ -232,11 +243,12 @@ def _node(name: str, attributes: tuple[tuple[str, str], ...], text: Optional[str
 _PRESENTATION, _CONTENT_XML, _OTHER_XML, _ANNOTATION = range(4)
 
 
-def _semantics_rank(node: MathNode) -> int:
-    """The rank of ``node`` as a child of semantics."""
-    if node.name != "annotation-xml":
-        return _ANNOTATION if node.name == "annotation" else _PRESENTATION
-    return _CONTENT_XML if node.attr("encoding") == CONTENT_ENCODING else _OTHER_XML
+def _semantics_rank(name: str, attributes: tuple[tuple[str, str], ...]) -> int:
+    """The rank, as a child of semantics, of an element with this name and
+    these attributes."""
+    if name != "annotation-xml":
+        return _ANNOTATION if name == "annotation" else _PRESENTATION
+    return _CONTENT_XML if _attr(attributes, "encoding") == CONTENT_ENCODING else _OTHER_XML
 
 
 def _same(a, b) -> bool:
@@ -279,11 +291,16 @@ def _rebuild(doc: MathDoc, make) -> MathDoc:
     return doc if root is doc.root else MathDoc(root)
 
 
-def _parents_and_sizes(nodes: tuple[MathNode, ...]) -> tuple[tuple, tuple]:
-    """Parent handles and subtree sizes of a tree given by its nodes in
-    preorder, from one reverse pass: a node's first child follows it, and
-    each later child follows its elder sibling's subtree, whose size the
-    pass already knows.  Handle ``h``'s subtree is ``nodes[h:h + sizes[h]]``."""
+_NAME, _ATTRIBUTES, _TEXT = map(attrgetter, ("name", "attributes", "text"))
+
+
+def _columns(nodes: tuple[MathNode, ...]) -> tuple[tuple, tuple, tuple, tuple, tuple]:
+    """The index columns of a tree given by its nodes in preorder: names,
+    attributes, texts, parent handles and subtree sizes, as ``parse``'s
+    handlers fill them.  Parents and sizes come from one reverse pass: a
+    node's first child follows it, and each later child follows its elder
+    sibling's subtree, whose size the pass already knows.  Handle ``h``'s
+    subtree is ``nodes[h:h + sizes[h]]``."""
     parents: list[Optional[int]] = [None] * len(nodes)
     sizes = [1] * len(nodes)
     for handle in range(len(nodes) - 1, -1, -1):
@@ -292,7 +309,8 @@ def _parents_and_sizes(nodes: tuple[MathNode, ...]) -> tuple[tuple, tuple]:
             parents[child] = handle
             child += sizes[child]
         sizes[handle] = child - handle
-    return tuple(parents), tuple(sizes)
+    return (tuple(map(_NAME, nodes)), tuple(map(_ATTRIBUTES, nodes)), tuple(map(_TEXT, nodes)),
+            tuple(parents), tuple(sizes))
 
 
 def iter_subtree(node: MathNode) -> Iterator[MathNode]:
@@ -329,22 +347,31 @@ class MathDoc:
 
     Node handles are stable indices into the document's preorder enumeration
     (the math element itself is handle 0).  Instances are immutable; every
-    mutating operation in this module returns a new document.  ``_nodes``,
-    for ``parse`` only, is ``root``'s tree in preorder, as
-    :func:`iter_subtree` gives it; parent handles and subtree sizes come
-    from those nodes alone, through :func:`_parents_and_sizes`.
+    mutating operation in this module returns a new document.
+
+    The index is five columns, one entry per handle: ``_names``,
+    ``_attributes``, ``_texts``, ``_parents`` and ``_sizes`` (handle ``h``'s
+    subtree is handles ``h`` to ``h + _sizes[h] - 1``).  ``_parsed``, for
+    ``parse`` only, holds the columns its handlers filled, in that order,
+    and ``root`` is then ``None``: the document builds its nodes on the
+    first use of ``root``, ``nodes``, ``node`` or ``handle``, all at once,
+    and keeps them.  Any other tree, hand-built or rebuilt, keeps its nodes
+    in preorder, as :func:`iter_subtree` gives them, and derives the
+    columns from them through :func:`_columns`.
     """
 
-    def __init__(self, root: MathNode, *, _nodes: Optional[tuple[MathNode, ...]] = None):
-        if root.name != "math":
-            raise MalformedInput("document root must be a math element")
-        self._nodes = _nodes or tuple(iter_subtree(root))
-        self._parents, self._sizes = _parents_and_sizes(self._nodes)
+    def __init__(self, root: Optional[MathNode], *, _parsed: Optional[tuple] = None):
+        if _parsed is None:
+            if root.name != "math":
+                raise MalformedInput("document root must be a math element")
+            self._nodes = tuple(iter_subtree(root))
+            _parsed = _columns(self._nodes)
+        self._names, self._attributes, self._texts, self._parents, self._sizes = _parsed
         ids: dict[str, int] = {}
         links = []  # (handle, own id or None, target) of each node with an xref
-        for handle, node in enumerate(self._nodes):
+        for handle, pairs in enumerate(self._attributes):
             own = target = None
-            for key, value in node.attributes:
+            for key, value in pairs:
                 if key == "id":
                     own = value
                 elif key == "xref":
@@ -369,30 +396,61 @@ class MathDoc:
 
     def _detect_branches(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Handles of the top-level presentation and content nodes."""
-        nodes, top = self._nodes, self.children_of(0)
-        semantics = next((h for h in top if nodes[h].name == "semantics"), None)
-        if semantics is None:
-            if top and nodes[top[0]].name in CONTENT_ELEMENTS:
+        names, attributes, top = self._names, self._attributes, self.children_of(0)
+        for semantics in top:
+            if names[semantics] == "semantics":
+                break
+        else:
+            if top and names[top[0]] in CONTENT_ELEMENTS:
                 return (), top
             return top, ()
-        ranked = [(_semantics_rank(nodes[h]), h) for h in self.children_of(semantics)]
-        pres = next(((h,) for rank, h in ranked if rank == _PRESENTATION), ())
-        content = next((self.children_of(h) for rank, h in ranked if rank == _CONTENT_XML), ())
-        return pres, content
+        pres = content = None  # the first presentation child, the first content one
+        for h in self.children_of(semantics):
+            rank = _semantics_rank(names[h], attributes[h])
+            if rank == _PRESENTATION and pres is None:
+                pres = (h,)
+            elif rank == _CONTENT_XML and content is None:
+                content = self.children_of(h)
+        return pres or (), content or ()
+
+    def _build_nodes(self) -> tuple[MathNode, ...]:
+        """The nodes of the columns' tree in preorder, built bottom up.  In
+        reverse preorder, a node's children are the last subtrees built that
+        no parent has taken yet, its first child last, and ``_parents`` says
+        how many there are."""
+        names, attributes, texts = self._names, self._attributes, self._texts
+        counts = Counter(self._parents)
+        nodes: list[Optional[MathNode]] = [None] * len(names)
+        pending: list[MathNode] = []
+        for handle in range(len(names) - 1, -1, -1):
+            count = counts[handle]
+            if count:
+                children = tuple(pending[:-count - 1:-1])
+                del pending[-count:]
+            else:
+                children = ()
+            node = nodes[handle] = _node(names[handle], attributes[handle], texts[handle], children)
+            pending.append(node)
+        return tuple(nodes)
 
     # -- structure accessors ------------------------------------------------
 
     @property
     def root(self) -> MathNode:
-        return self._nodes[0]
+        return self.nodes[0]
 
     @property
     def nodes(self) -> tuple[MathNode, ...]:
         """All nodes in preorder; index == handle."""
-        return self._nodes
+        try:
+            return self._nodes
+        except AttributeError:
+            # threads that race to the first use may each build; every one
+            # gets the nodes the first of them stored
+            return self.__dict__.setdefault("_nodes", self._build_nodes())
 
     def node(self, handle: int) -> MathNode:
-        return self._nodes[handle]
+        return self.nodes[handle]
 
     def handle(self, node: MathNode) -> int:
         """Handle of a node object belonging to this document, found by
@@ -401,7 +459,7 @@ class MathDoc:
         One node object may also belong to several documents, such as a
         document and the result of ``clean`` or ``canonicalize``; the handle
         is this document's."""
-        for handle, candidate in enumerate(self._nodes):
+        for handle, candidate in enumerate(self.nodes):
             if candidate is node:
                 return handle
         raise ValueError("node does not belong to this document")
@@ -422,7 +480,7 @@ class MathDoc:
     def descendants_of(self, handle: Optional[int]) -> range:
         """Proper-descendant handles (preorder is contiguous per subtree)."""
         if handle is None:
-            return range(0, len(self._nodes))
+            return range(0, len(self._names))
         return range(handle + 1, handle + self._sizes[handle])
 
     # -- branch / annotation accessors ---------------------------------------
@@ -430,12 +488,12 @@ class MathDoc:
     @property
     def presentation_nodes(self) -> tuple[MathNode, ...]:
         """Top-level nodes of the presentation branch (may be empty)."""
-        return tuple(self._nodes[h] for h in self._presentation)
+        return tuple(self.nodes[h] for h in self._presentation)
 
     @property
     def content_nodes(self) -> tuple[MathNode, ...]:
         """Top-level nodes of the content branch (may be empty)."""
-        return tuple(self._nodes[h] for h in self._content)
+        return tuple(self.nodes[h] for h in self._content)
 
     @property
     def presentation_root(self) -> Optional[int]:
@@ -458,7 +516,7 @@ class MathDoc:
         nodes are consecutive siblings, so its nodes are one preorder slice:
         ``doc.nodes[r.start:r.stop]`` for the returned range ``r``."""
         if name is None:
-            return range(len(self._nodes))
+            return range(len(self._names))
         top = self.branch_roots(name)
         if not top:
             raise MissingBranch(f"document has no {name} branch")
@@ -467,8 +525,9 @@ class MathDoc:
     @property
     def annotations(self) -> tuple[tuple[str, str], ...]:
         """(encoding, payload) for every annotation element, document order."""
-        return tuple((node.attr("encoding", ""), node.text or "")
-                     for node in self._nodes if node.name == "annotation")
+        attributes, texts = self._attributes, self._texts
+        return tuple((_attr(attributes[h], "encoding", ""), texts[h] or "")
+                     for h, name in enumerate(self._names) if name == "annotation")
 
     # -- cross references ------------------------------------------------------
 
@@ -486,7 +545,7 @@ class MathDoc:
         """Unordered id pairs linked by cross-references, as sorted tuples."""
         pairs = set()
         for id_value, partner in self._xref_map.items():
-            partner_id = self._nodes[partner].attr("id")
+            partner_id = _attr(self._attributes[partner], "id")
             if partner_id is not None:
                 pairs.add(tuple(sorted((id_value, partner_id))))
         return pairs
@@ -494,10 +553,13 @@ class MathDoc:
     def __eq__(self, other):
         if not isinstance(other, MathDoc):
             return NotImplemented
-        return self._nodes[0] == other._nodes[0]
+        # preorder sequences of (name, attributes, text, subtree size) fix a tree
+        return self is other or (
+            self._names == other._names and self._sizes == other._sizes
+            and self._texts == other._texts and self._attributes == other._attributes)
 
     def __repr__(self):
-        return f"<MathDoc nodes={len(self._nodes)}>"
+        return f"<MathDoc nodes={len(self._names)}>"
 
 
 # ---------------------------------------------------------------------------
@@ -733,25 +795,30 @@ def _namespace_violation(name: str, keys: list[str], values: list[str],
 
 
 class _Builder:
-    """Expat handlers that build each element's :class:`MathNode` once, when
-    it closes, and list the tree's nodes in preorder as they go: an element's
-    handle is the number of elements opened before it, and its node fills
-    ``nodes[handle]`` when it closes, so ``nodes`` is what :func:`iter_subtree`
-    gives once the root has closed.  The MathML default namespace declaration
-    is dropped on the way (the namespace is implicit in the model).  The first
-    namespace violation in preorder (a math element that declares no default
-    namespace only if ``strict``) is recorded in ``violation`` rather than
-    raised, so that a later well-formedness error still takes precedence.
-    Both modes judge namespaces alike, in one prefix table that each element
-    restores as it closes: the repair scan has rewritten what it repairs, and
-    what it cannot see, such as an entity's expansion, is judged here."""
+    """Expat handlers that fill the document's index columns in preorder,
+    and build no node: an element's handle is the number of elements opened
+    before it; ``start`` writes its name, attributes and parent, the open
+    element on top of the stack; ``end`` writes its text and its subtree
+    size, the elements opened since it opened.  The MathML default namespace
+    declaration is dropped on the way (the namespace is implicit in the
+    model).  The first namespace violation in preorder (a math element that
+    declares no default namespace only if ``strict``) is recorded in
+    ``violation`` rather than raised, so that a later well-formedness error
+    still takes precedence.  Both modes judge namespaces alike, in one prefix
+    table that each element restores as it closes: the repair scan has
+    rewritten what it repairs, and what it cannot see, such as an entity's
+    expansion, is judged here."""
 
     def __init__(self, strict: bool):
         self._strict = strict
         self._scope = {"xml": _XML_NS}  # prefix -> URI, for the open elements
-        # per open element: [name, attributes, text parts, children, replaced bindings, handle]
-        self._stack: list[list] = []
-        self.nodes: list[Optional[MathNode]] = []  # None until the element closes
+        # per open element: (handle, text parts, replaced bindings)
+        self._stack: list[tuple[int, list[str], Iterable]] = []
+        self.names: list[str] = []
+        self.attributes: list[tuple[tuple[str, str], ...]] = []
+        self.texts: list[Optional[str]] = []
+        self.parents: list[Optional[int]] = []
+        self.sizes: list[int] = []  # 0 until the element closes
         self.violation: Optional[str] = None
 
     def start(self, name, attrs):
@@ -768,23 +835,25 @@ class _Builder:
             if self.violation is None:  # the judge binds the declarations in place
                 self.violation = _namespace_violation(
                     name, keys, values, self._scope, self._strict and not stack)
-        nodes = self.nodes
-        stack.append([name, pairs, [], [], replaced, len(nodes)])
-        nodes.append(None)
+        names = self.names
+        self.parents.append(stack[-1][0] if stack else None)
+        stack.append((len(names), [], replaced))
+        names.append(name)
+        self.attributes.append(pairs)
+        self.texts.append(None)
+        self.sizes.append(0)
 
     def end(self, _name):
-        name, pairs, text_parts, children, replaced, handle = self._stack.pop()
+        handle, text_parts, replaced = self._stack.pop()
         if replaced:
             _unbind(self._scope, replaced)
-        text = "".join(text_parts).strip(" \t\r\n") or None if text_parts else None
-        node = _node(name, pairs, text, tuple(children))
-        self.nodes[handle] = node
-        if self._stack:
-            self._stack[-1][3].append(node)
+        if text_parts:
+            self.texts[handle] = "".join(text_parts).strip(" \t\r\n") or None
+        self.sizes[handle] = len(self.names) - handle
 
     def chars(self, data):
         if self._stack:
-            self._stack[-1][2].append(data)
+            self._stack[-1][1].append(data)
 
 
 def parse(text: str, mode: str = "lenient") -> tuple[MathDoc, ParseReport]:
@@ -880,16 +949,17 @@ def parse(text: str, mode: str = "lenient") -> tuple[MathDoc, ParseReport]:
         ref = undefined(_TOKEN_RE.finditer(work))
         if ref:
             raise MalformedInput(f"undefined entity &{ref[1].decode()};: {where(ref.start())}")
-    root = builder.nodes[0]
-    if root.name != "math":
+    if builder.names[0] != "math":
         raise MalformedInput(
-            f"input does not contain a math root element (found {root.name!r})"
+            f"input does not contain a math root element (found {builder.names[0]!r})"
         )
     if builder.violation is not None:
         raise MalformedInput(builder.violation)
-    if root.has_attr("xmlns"):  # MathML declarations were dropped while building
-        raise MalformedInput(f"math element declares a foreign namespace {root.attr('xmlns')!r}")
-    doc = MathDoc(root, _nodes=tuple(builder.nodes))
+    foreign = _attr(builder.attributes[0], "xmlns")
+    if foreign is not None:  # MathML declarations were dropped while building
+        raise MalformedInput(f"math element declares a foreign namespace {foreign!r}")
+    doc = MathDoc(None, _parsed=tuple(map(tuple, (
+        builder.names, builder.attributes, builder.texts, builder.parents, builder.sizes))))
     report = ParseReport(repairs=tuple(repairs), dangling_xrefs=doc.dangling_xrefs)
     return doc, report
 
@@ -910,26 +980,25 @@ def _escape(value: str, specials: re.Pattern) -> str:
     return specials.sub(lambda match: _ESCAPES[match[0]], value)
 
 
-def _emit(nodes: tuple[MathNode, ...], sizes: tuple[int, ...], pretty: bool) -> str:
-    """XML for a tree given by preorder nodes and subtree sizes (as from
-    :func:`_parents_and_sizes`).  Only a value that its escape pattern
-    matches goes through :func:`_escape`: most need no reference."""
+def _emit(names: tuple, attributes: tuple, texts: tuple, sizes: tuple, pretty: bool) -> str:
+    """XML for a tree given by its index columns (as from :func:`_columns`).
+    Only a value that its escape pattern matches goes through
+    :func:`_escape`: most need no reference."""
     out: list[str] = []
     stack: list[tuple[int, str]] = []  # (end of subtree, end tag) per open ancestor
     attr_special, text_special = _ATTR_SPECIALS.search, _TEXT_SPECIALS.search
-    for handle, node in enumerate(nodes):
-        name, text, attributes = node.name, node.text, node.attributes
+    for handle, (name, pairs, text, size) in enumerate(zip(names, attributes, texts, sizes)):
         indent = "  " * len(stack) if pretty else ""
         attrs = ""
-        for key, value in attributes:
+        for key, value in pairs:
             attrs += f' {key}="{_escape(value, _ATTR_SPECIALS) if attr_special(value) else value}"'
         if text is not None and text_special(text):
             text = _escape(text, _TEXT_SPECIALS)
-        if sizes[handle] > 1:
+        if size > 1:
             out.append(f"{indent}<{name}{attrs}>")
             if text is not None:
                 out.append(("  " * (len(stack) + 1) if pretty else "") + text)
-            stack.append((handle + sizes[handle], f"{indent}</{name}>"))
+            stack.append((handle + size, f"{indent}</{name}>"))
             continue
         if text is None:
             out.append(f"{indent}<{name}{attrs}/>")
@@ -942,15 +1011,16 @@ def _emit(nodes: tuple[MathNode, ...], sizes: tuple[int, ...], pretty: bool) -> 
 
 def serialize_node(node: MathNode, pretty: bool = False) -> str:
     """Serialize a node subtree as an XML fragment (no namespace injected)."""
-    nodes = tuple(iter_subtree(node))
-    return _emit(nodes, _parents_and_sizes(nodes)[1], pretty)
+    names, attributes, texts, _, sizes = _columns(tuple(iter_subtree(node)))
+    return _emit(names, attributes, texts, sizes, pretty)
 
 
 def serialize(doc: MathDoc, pretty: bool = False) -> str:
     """Serialize a document as well-formed XML with the MathML namespace
     declared on the math element.  Byte-deterministic for a given input;
     ``parse(serialize(doc), "strict")`` reproduces an equal tree."""
-    return f'<math xmlns="{MATHML_NS}"' + _emit(doc.nodes, doc._sizes, pretty)[5:]  # "<math"
+    xml = _emit(doc._names, doc._attributes, doc._texts, doc._sizes, pretty)
+    return f'<math xmlns="{MATHML_NS}"' + xml[5:]  # "<math"
 
 
 # ---------------------------------------------------------------------------
@@ -992,11 +1062,10 @@ def extract_identifiers(
     the entire document, so the result covers every identifier anywhere.
     """
     handles = doc.branch(None if branch == "both" else branch)
-    return [
-        (node.name, node.text or "", handle)
-        for handle, node in enumerate(doc.nodes[handles.start:handles.stop], handles.start)
-        if node.name in ("mi", "ci")
-    ]
+    texts = doc._texts
+    return [(name, texts[handle] or "", handle)
+            for handle, name in enumerate(doc._names[handles.start:handles.stop], handles.start)
+            if name in ("mi", "ci")]
 
 
 CLEANABLE_FEATURES = frozenset(
@@ -1031,15 +1100,16 @@ def clean(doc: MathDoc, features: Iterable[str]) -> MathDoc:
     def top_level(child: MathNode) -> tuple[MathNode, ...]:
         """The branch a semantics child of the root holds alone, else that child."""
         if child.name == "semantics" and len(child.children) == 1:
-            rank = _semantics_rank(child.children[0])
+            only = child.children[0]
+            rank = _semantics_rank(only.name, only.attributes)
             if rank == _PRESENTATION:
                 return child.children
             if rank == _CONTENT_XML:
-                return child.children[0].children  # unwrap both wrappers
+                return only.children  # unwrap both wrappers
         return (child,)
 
     def rebuild(handle: int, node: MathNode, children: tuple[MathNode, ...]):
-        rank = _semantics_rank(node)
+        rank = _semantics_rank(node.name, node.attributes)
         if (drop_annotations and rank == _ANNOTATION) or (drop_content and rank == _CONTENT_XML):
             return None
         attributes = node.attributes
@@ -1049,7 +1119,8 @@ def clean(doc: MathDoc, features: Iterable[str]) -> MathDoc:
             children = [top for child in children for top in top_level(child)]
         elif node.name == "semantics" and doc.parent(handle) == 0:
             if drop_presentation:
-                children = [child for child in children if _semantics_rank(child) != _PRESENTATION]
+                children = [child for child in children
+                            if _semantics_rank(child.name, child.attributes) != _PRESENTATION]
             if not children:
                 return None
         return attributes, children

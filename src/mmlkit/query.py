@@ -154,7 +154,10 @@ def parse_selector(text: str) -> Query:
 
 
 def render(query: Query) -> str:
-    """Textual form of a query; ``parse_selector(render(q)) == q``."""
+    """Textual form of a query; ``parse_selector(render(q)) == q``.  A
+    :class:`BranchRoots` query has none: it is a ``TypeError``."""
+    if isinstance(query, BranchRoots):
+        raise TypeError(f"a branch query has no selector text: {query!r}")
     if isinstance(query, PathUnion):
         return " | ".join(render(alt) for alt in query.alternatives)
     parts = []
@@ -180,7 +183,7 @@ def select(doc: MathDoc, query: Union[Query, BranchRoots]) -> list[int]:
         return list(doc.branch_roots(query.branch))
     if isinstance(query, PathUnion):
         return sorted({h for alt in query.alternatives for h in select(doc, alt)})
-    nodes = doc.nodes
+    names, attributes = doc._names, doc._attributes
     frontier: list[Optional[int]] = [None]  # virtual document node
     for step in query.steps:
         if step.axis == "child":
@@ -195,9 +198,9 @@ def select(doc: MathDoc, query: Union[Query, BranchRoots]) -> list[int]:
             candidates = chain.from_iterable(spans)
         test = step.test
         frontier = list(candidates) if test == "*" else [
-            h for h in candidates if nodes[h].name == test]
+            h for h in candidates if names[h] == test]
         for pair in step.predicates:
-            frontier = [h for h in frontier if pair in nodes[h].attributes]
+            frontier = [h for h in frontier if pair in attributes[h]]
     return frontier  # type: ignore[return-value]
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Union
 
-from .core import MathDoc, MathNode, _parents_and_sizes, iter_subtree
+from .core import MathDoc, MathNode, _columns, iter_subtree
 from .errors import EmptyHistogram
 
 #: Wrapper elements that carry no mathematical content of their own.
@@ -203,26 +203,24 @@ def _flatten(tree: Union[MathDoc, MathNode], label_mode: str) -> tuple[tuple, tu
     leftmost leaf is ``k - sizes[h] + 1``.  A document is immutable, so it
     keeps its arrays per label mode and later calls return them.  A bare
     node's tree is indexed afresh on every call, as :class:`MathDoc`
-    indexes one, by :func:`core.iter_subtree` and
-    :func:`core._parents_and_sizes`."""
+    indexes one, by :func:`core.iter_subtree` and :func:`core._columns`."""
     if isinstance(tree, MathDoc):
         shape = tree._ted_shapes.get(label_mode)
         if shape is not None:
             return shape
-        nodes, parents, sizes = tree.nodes, tree._parents, tree._sizes
+        names, texts, parents, sizes = tree._names, tree._texts, tree._parents, tree._sizes
     elif isinstance(tree, MathNode):
-        nodes = tuple(iter_subtree(tree))
-        parents, sizes = _parents_and_sizes(nodes)
+        names, _, texts, parents, sizes = _columns(tuple(iter_subtree(tree)))
     else:
         raise TypeError(f"trees must be a MathDoc or a MathNode, not {type(tree).__name__}")
     with_text = label_mode == "name-text"
-    n = len(nodes)
+    n = len(names)
     labels, lml, depths, keyroots, levels = [None] * (n + 1), [0] * (n + 1), [0] * n, [], []
-    for h, node in enumerate(nodes):
+    for h, name in enumerate(names):
         parent, size = parents[h], sizes[h]
         d = depths[h] = 0 if parent is None else depths[parent] + 1
         k = h + size - d
-        labels[k] = (node.name, node.text) if with_text and size == 1 else node.name
+        labels[k] = (name, texts[h]) if with_text and size == 1 else name
         lml[k] = k - size + 1
         if parent is None or parent + 1 != h:
             keyroots.append(k)
@@ -653,14 +651,17 @@ HISTOGRAM_MEASURES: Mapping[str, Callable[..., float]] = MappingProxyType({
 def collection_histogram(docs: Iterable[MathDoc], scope: str = "whole",
                          include_structural: bool = False) -> Histogram:
     """Accumulated histogram of a non-empty document collection: each
-    document's names are counted as it is read, into one count."""
+    document's names are counted as it is read, into one count, and the
+    structural names, unless included, are dropped from it at the end."""
     counts, read = Counter(), 0
     for read, doc in enumerate(docs, 1):
         handles = doc.branch(None if scope == "whole" else scope)
-        counts.update(node.name for node in doc.nodes[handles.start:handles.stop]
-                      if include_structural or node.name not in STRUCTURAL_NAMES)
+        counts.update(doc._names[handles.start:handles.stop])
     if not read:
         raise ValueError("document collections must be non-empty")
+    if not include_structural:
+        for name in STRUCTURAL_NAMES:
+            counts.pop(name, None)
     return Histogram(counts)
 
 

@@ -141,24 +141,33 @@ def sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def doc_lines() -> list[str]:
-    out = []
+def documents():
+    """``(head, document)`` for every document of the ``doc`` digest, in
+    order; ``head`` starts each of its lines."""
     for seed in range(DOCS):
         kind, *docs = document(seed)
         for copy, doc in zip(("drawn", "shuffled"), docs):
-            head = f"{seed} {kind} {copy}"
-            out.append(f"{head} serialize {sha(serialize(doc))}\n")
-            out.append(f"{head} pretty {sha(serialize(doc, pretty=True))}\n")
-            canon = canonicalize(doc)
-            out.append(f"{head} canonicalize {'same' if canon is doc else 'new'} "
-                       f"{sha(serialize(canon))}\n")
-            for features in FEATURE_SETS:
-                try:
-                    value = sha(serialize(clean(doc, features)))
-                except WouldBeEmpty as error:
-                    value = type(error).__name__
-                out.append(f"{head} clean {','.join(features)} {value}\n")
+            yield f"{seed} {kind} {copy}", doc
+
+
+def document_lines(head: str, doc: MathDoc) -> list[str]:
+    """The ``doc`` digest's lines of one document."""
+    out = [f"{head} serialize {sha(serialize(doc))}\n",
+           f"{head} pretty {sha(serialize(doc, pretty=True))}\n"]
+    canon = canonicalize(doc)
+    out.append(f"{head} canonicalize {'same' if canon is doc else 'new'} "
+               f"{sha(serialize(canon))}\n")
+    for features in FEATURE_SETS:
+        try:
+            value = sha(serialize(clean(doc, features)))
+        except WouldBeEmpty as error:
+            value = type(error).__name__
+        out.append(f"{head} clean {','.join(features)} {value}\n")
     return out
+
+
+def doc_lines() -> list[str]:
+    return [line for head, doc in documents() for line in document_lines(head, doc)]
 
 
 DIGESTS = {"ted": ted_lines, "hist": hist_lines, "doc": doc_lines}

@@ -2,6 +2,8 @@ import dataclasses
 import gc
 import random
 import re
+import sys
+import threading
 import time
 import timeit
 
@@ -95,8 +97,10 @@ class TestFixtureParsing:
 
 
     def test_each_element_is_built_once(self, listing1_text, monkeypatch):
-        # count constructions through the public constructor and the
-        # parser's unchecked one alike
+        # parse fills the index columns only; the first use of the nodes
+        # builds all of them, once, and every later use returns those; a
+        # hand-built tree keeps its own nodes.  Constructions are counted
+        # through the public constructor and the unchecked one alike
         built = []
         post_init, trusted = MathNode.__post_init__, core._node
         monkeypatch.setattr(MathNode, "__post_init__",
@@ -106,7 +110,38 @@ class TestFixtureParsing:
         for text, mode in ((listing1_text, "lenient"), (CANONICAL_LISTING1, "strict")):
             built.clear()
             doc, _ = mmlkit.parse(text, mode)
-            assert len(built) == len(doc.nodes) == 11
+            assert built == []
+            nodes = doc.nodes
+            assert len(built) == len(nodes) == 11
+            built.clear()
+            assert doc.nodes is nodes and doc.root is nodes[0]
+            assert all(doc.node(h) is node and doc.handle(node) == h
+                       for h, node in enumerate(nodes))
+            assert built == []
+        root = doc.root
+        assert MathDoc(root).root is root and built == []
+
+    def test_threads_racing_to_the_first_use_get_one_tree(self):
+        # a wide tree and a short switch interval, so that the builds overlap
+        doc = doc_of(f'<math xmlns="{NS}"><mrow>{"<mi>x</mi>" * 5000}</mrow></math>', "strict")
+        barrier, roots = threading.Barrier(4), []
+
+        def first_use():
+            barrier.wait(timeout=10)
+            roots.append(doc.root)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=first_use) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(roots) == 4 and all(root is doc.root for root in roots)
 
 
 class TestLenientRepairs:
@@ -1015,6 +1050,14 @@ class TestSerialization:
         # children shuffled; tests/digest.py draws them
         expected = digest.path("doc").read_text(encoding="utf-8").splitlines(keepends=True)
         assert digest.doc_lines() == expected
+
+    def test_parsed_documents_match_the_digest(self):
+        # the same documents, parsed back from their serializations, so that
+        # serialize, canonicalize and clean read a parsed document's columns
+        # and the nodes it builds on first use
+        expected = digest.path("doc").read_text(encoding="utf-8").splitlines(keepends=True)
+        assert [line for head, doc in digest.documents() for line in digest.document_lines(
+            head, mmlkit.parse(mmlkit.serialize(doc), "strict")[0])] == expected
 
     def test_random_docs_round_trip_strict(self):
         rng = random.Random(11)

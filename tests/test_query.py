@@ -98,6 +98,11 @@ class TestParsePath:
             assert mmlkit.render(query) == text
             assert mmlkit.parse_selector(mmlkit.render(query)) == query
 
+    @pytest.mark.parametrize("name", ["content-root", "presentation-root"])
+    def test_a_branch_query_has_no_text_to_render(self, name):
+        with pytest.raises(TypeError, match="a branch query has no selector text"):
+            mmlkit.render(mmlkit.library_get(name))
+
     def test_render_round_trip_random(self):
         rng = random.Random(43)
         for _ in range(100):

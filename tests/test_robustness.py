@@ -215,6 +215,9 @@ def test_the_parser_writes_the_index_a_walk_of_its_tree_gives(seed, kinds):
             continue
         walked = MathDoc(doc.root)
         assert len(walked.nodes) == len(doc.nodes) and all(map(is_, walked.nodes, doc.nodes))
+        assert walked._names == doc._names
+        assert walked._attributes == doc._attributes
+        assert walked._texts == doc._texts
         assert walked._parents == doc._parents
         assert walked._sizes == doc._sizes
         assert walked.xref_map == doc.xref_map

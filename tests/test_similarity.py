@@ -639,7 +639,7 @@ def test_flatten_matches_recursive_postorder():
                 assert mmlkit.similarity._flatten(tree, label_mode) == expected
 
 
-def test_a_document_flattens_once_per_label_mode(monkeypatch):
+def test_a_document_flattens_once_per_label_mode():
     flatten = mmlkit.similarity._flatten
     doc, _ = mmlkit.parse(f'<math xmlns="{NS}"><mfrac><mi>x</mi><mn>2</mn></mfrac></math>')
     by_name = flatten(doc, "name")
@@ -651,16 +651,24 @@ def test_a_document_flattens_once_per_label_mode(monkeypatch):
     # a bare node has nowhere to keep its arrays: a fresh, equal copy each time
     assert flatten(doc.root, "name") == by_name
     assert flatten(doc.root, "name") is not flatten(doc.root, "name")
-    # many distances read each document's preorder nodes once per label mode
+    # many distances flatten each document once per label mode, from its
+    # index columns: no node of a parsed document is built
     other, _ = mmlkit.parse(f'<math xmlns="{NS}"><mi>y</mi></math>')
-    reads = []
-    nodes = mmlkit.MathDoc.nodes
-    monkeypatch.setattr(mmlkit.MathDoc, "nodes",
-                        property(lambda self: reads.append(self) or nodes.fget(self)))
+    stores = []
+
+    class Recording(dict):
+        def __setitem__(self, key, value):
+            stores.append((self.doc, key))
+            super().__setitem__(key, value)
+
+    for tree in (doc, other):
+        tree._ted_shapes = Recording(tree._ted_shapes)
+        tree._ted_shapes.doc = tree
     for label_mode in ("name", "name-text", "name", "name-text"):
         for x, y in ((doc, other), (other, doc), (other, other)):
             mmlkit.tree_edit_distance(x, y, label_mode=label_mode)
-    assert reads == [other, other]
+    assert stores == [(other, "name"), (other, "name-text")]
+    assert "_nodes" not in vars(other)
 
 
 def test_deep_chains_one_rename_apart():
