@@ -233,7 +233,7 @@ def _cmd_select(args, out):
         selector = query.library_get(args.lib)
     for doc in _load_docs(args.inputs, args.mode):
         for handle in query.select(doc, selector):
-            out.write(core.serialize_node(doc.node(handle)) + "\n")
+            out.write(core.serialize_subtree(doc, handle) + "\n")
     return 0
 
 

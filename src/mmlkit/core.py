@@ -1015,6 +1015,13 @@ def serialize_node(node: MathNode, pretty: bool = False) -> str:
     return _emit(names, attributes, texts, sizes, pretty)
 
 
+def serialize_subtree(doc: MathDoc, handle: int, pretty: bool = False) -> str:
+    """:func:`serialize_node` of ``doc.node(handle)``, building no node."""
+    end = handle + doc._sizes[handle]
+    return _emit(doc._names[handle:end], doc._attributes[handle:end],
+                 doc._texts[handle:end], doc._sizes[handle:end], pretty)
+
+
 def serialize(doc: MathDoc, pretty: bool = False) -> str:
     """Serialize a document as well-formed XML with the MathML namespace
     declared on the math element.  Byte-deterministic for a given input;

@@ -6,7 +6,8 @@ element-name histogram or a labeled ordered tree, then compares those:
 * L1 histogram distance, absolute and relative,
 * ordered tree edit distance with configurable costs: Zhang/Shasha, unless
   the banded string edit distance of the postorder labels, a lower bound,
-  meets the top-down distance, banded alike (costs with exact sums),
+  meets its own alignment, when that is a tree mapping, or the top-down
+  distance, banded alike (costs with exact sums),
 * earth mover's distance, exact: one minus the shared mass under the
   discrete ground, a small min-cost flow problem under override grounds,
 * cosine similarity of histogram vectors,
@@ -15,6 +16,7 @@ element-name histogram or a labeled ordered tree, then compares those:
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from bisect import bisect_left, bisect_right
@@ -245,9 +247,10 @@ def _band(na: int, nb: int, step: float, high: float) -> tuple[int, int]:
 
 
 def _postorder_sed(labels_a: tuple, labels_b: tuple,
-                   insert: float, delete: float, rename: float) -> float:
+                   insert: float, delete: float, rename: float) -> tuple[float, list]:
     """String edit distance between the postorder label arrays that
-    :func:`_flatten` gives, renames standing for substitutions.
+    :func:`_flatten` gives, renames standing for substitutions, and one best
+    alignment as the ascending ``(x, y)`` postorder pairs it aligns.
 
     A mapping that keeps ancestors and sibling order keeps postorder, so
     every tree edit script is an alignment of the two strings at the same
@@ -269,7 +272,8 @@ def _postorder_sed(labels_a: tuple, labels_b: tuple,
     (Ukkonen 1985), ``high`` starting at ``step * max(|skew|, 1)`` and
     doubling until the banded value is at most ``high``, when the best
     alignment stays in the band, or the band holds every cell: then the
-    value is exact."""
+    value is exact.  That pass's rows give the alignment back: each step goes
+    to a cell whose sum, as the fill made it, is the value stepped from."""
     # both arrays start with None, so the prefix holds at least that one
     start = 0
     for x, y in zip(labels_a, labels_b):
@@ -293,8 +297,10 @@ def _postorder_sed(labels_a: tuple, labels_b: tuple,
         # prev[j + 1]: the distance from the first i labels of A to the first
         # j of B.  prev[0] and the cells outside the band stay infinite, so
         # column 0, whose diagonal is prev[0], is filled from above alone.
+        # rows[i] is (first, row): row holds the same distances from j = first.
         prev, cur = [inf] * (nb + 2), [inf] * (nb + 2)
-        prev[1:min(hi, nb) + 2] = [j * insert for j in range(min(hi, nb) + 1)]
+        row = [j * insert for j in range(min(hi, nb) + 1)]
+        prev[1:len(row) + 1], rows = row, [(0, row)]
         for i in range(1, na + 1):
             first, last = max(i + lo, 0), min(i + hi, nb)
             label, left, row = labels_a[i], inf, []
@@ -312,39 +318,60 @@ def _postorder_sed(labels_a: tuple, labels_b: tuple,
                 left = best
             cur[first + 1:last + 2] = row
             prev, cur = cur, prev
+            rows.append((first, row))
         if prev[nb + 1] <= high or (lo <= -na and hi >= nb):
-            return prev[nb + 1]
+            break
         high *= 2
+    # back from the last cell, aligning the labels on a tie; (i - 1, j - 1)
+    # is on the diagonal of (i, j), so it is in the band's row i - 1
+    pairs, i, j = [], na, nb
+    while i and j:
+        (top, above), (first, row) = rows[i - 1], rows[i]
+        value, diag = row[j - first], above[j - 1 - top]
+        if value == (diag if labels_a[i] == labels_b[j] else diag + rename):
+            pairs.append((start - 1 + i, start - 1 + j))
+            i, j = i - 1, j - 1
+        elif j - top < len(above) and value == above[j - top] + delete:
+            i -= 1
+        else:
+            j -= 1
+    pairs.reverse()
+    tail = range(start + na, start + na + end)
+    return prev[nb + 1], [(k, k) for k in range(1, start)] + pairs + [
+        (k, k + nb - na) for k in tail]
 
 
-def _bounds_meet(labels_a: tuple, lml_a: tuple, levels_a: tuple,
-                 labels_b: tuple, lml_b: tuple, levels_b: tuple,
-                 insert: float, delete: float, rename: float) -> Optional[float]:
-    """The tree edit distance between the trees :func:`_flatten` gives when
-    a lower and an upper bound on it meet, else ``None``.
+def _is_mapping(lml_a: tuple, lml_b: tuple, pairs: list) -> bool:
+    """Whether ``pairs``, increasing in both postorder numbers as an
+    alignment's are, form a tree mapping (Zhang & Shasha 1989): one-to-one,
+    keeping ancestry and sibling order both ways.  In that order, the pairs
+    below ``(x, y)`` on A's side are a run that ends just before it and
+    starts after the pairs left of ``x``'s subtree, and likewise on B's
+    side; ancestry is kept iff the two runs agree for every pair, that is
+    iff as many nodes are mapped before ``lml_a[x]`` as before ``lml_b[y]``.
+    Sibling order is then kept too: it is postorder between nodes neither
+    above the other."""
+    mapped_a, mapped_b = [0] * len(lml_a), [0] * len(lml_b)
+    for x, y in pairs:
+        mapped_a[x] = mapped_b[y] = 1
+    upto_a, upto_b = list(itertools.accumulate(mapped_a)), list(itertools.accumulate(mapped_b))
+    return all(upto_a[lml_a[x] - 1] == upto_b[lml_b[y] - 1] for x, y in pairs)
 
-    Lower bound: :func:`_postorder_sed`, the string edit distance ``L`` of
-    the two postorder label sequences.
 
-    Upper bound: the top-down distance (Selkow 1977), the cost of the best
-    script that maps root to root and aligns the children of each mapped
-    pair in order, deleting and inserting whole subtrees.  A mapped pair may
-    also be a delete and an insert, so it costs ``min(rename, delete +
-    insert)`` when the labels differ.  Only nodes of one depth map, so the
-    distances are filled one depth level at a time from the deepest, in one
-    table per level indexed by position in the level, and never more cells
-    than ``na * nb``.
-
-    Such a script aligns the whole postorder intervals of each pair it maps,
-    so as a string alignment it passes through the cell ``(x, y)`` of every
-    mapped pair.  If it costs ``L``, each such cell lies in the
-    :func:`_band` of ``L``; so pairs outside the band are left infinite, and
-    the banded top-down distance is ``L`` exactly when the unbanded one is.
-    """
-    na, nb = len(labels_a) - 1, len(labels_b) - 1
-    low = _postorder_sed(labels_a, labels_b, insert, delete, rename)
-    lo, hi = _band(na, nb, min(insert, delete), low)
-
+def _top_down(labels_a: tuple, lml_a: tuple, levels_a: tuple,
+              labels_b: tuple, lml_b: tuple, levels_b: tuple,
+              insert: float, delete: float, rename: float, high: float) -> float:
+    """The top-down distance (Selkow 1977) between the trees :func:`_flatten`
+    gives where it is at most ``high``, else a value above ``high``: the
+    cost of the best script that maps root to root and aligns the children
+    of each mapped pair in order, deleting and inserting whole subtrees, a
+    pair with unequal labels costing ``min(rename, delete + insert)``.  As an
+    alignment of the postorder labels such a script passes through the cell
+    ``(x, y)`` of each pair it maps, so only the pairs in the :func:`_band`
+    of ``high`` are filled.  Only nodes of one depth map, so the distances
+    are filled one depth level at a time from the deepest, in one table per
+    level indexed by position in the level, never more cells than ``na * nb``."""
+    lo, hi = _band(len(labels_a) - 1, len(labels_b) - 1, min(insert, delete), high)
     relabel = min(rename, delete + insert)
     # below[i][j]: top-down distance between the i-th node of A and the j-th
     # node of B one level down.  The children of a node are the run of the
@@ -403,7 +430,22 @@ def _bounds_meet(labels_a: tuple, lml_a: tuple, levels_a: tuple,
             level.append(row)
             start = end
         below = level
-    return low if below[0][0] == low else None
+    return below[0][0]
+
+
+def _bounds_meet(labels_a: tuple, lml_a: tuple, levels_a: tuple,
+                 labels_b: tuple, lml_b: tuple, levels_b: tuple,
+                 insert: float, delete: float, rename: float) -> Optional[float]:
+    """The tree edit distance between the trees :func:`_flatten` gives when
+    a lower and an upper bound on it meet, else ``None``.  Lower: the string
+    edit distance ``L`` of the postorder labels (:func:`_postorder_sed`).
+    Upper: its alignment, if :func:`_is_mapping` finds it a tree mapping,
+    whose script costs ``L`` too, so ``TED <= L <= TED``; else :func:`_top_down`."""
+    low, pairs = _postorder_sed(labels_a, labels_b, insert, delete, rename)
+    if _is_mapping(lml_a, lml_b, pairs) or low == _top_down(
+            labels_a, lml_a, levels_a, labels_b, lml_b, levels_b, insert, delete, rename, low):
+        return low
+    return None
 
 
 def tree_edit_distance(
@@ -430,11 +472,12 @@ def tree_edit_distance(
     When every sum of costs is exact, as it is in any order when each cost
     is a multiple of ``2**-k`` and ``(|a| + |b|) * max(cost) * 2**k <=
     2**52`` (Goldberg 1991), for integers and 0.5 or 2.25 but never 0.1 or
-    0.3, two bounds come next (:func:`_bounds_meet`): the string edit
-    distance of the postorder labels, trimmed to where they differ and
-    filled on a diagonal band that doubles until it holds the best
-    alignment, and the top-down distance, filled only for the pairs that
-    band allows.  When they meet, as they usually do on near-duplicates,
+    0.3, bounds come next (:func:`_bounds_meet`): the string edit distance
+    of the postorder labels, trimmed to where they differ and filled on a
+    diagonal band that doubles until it holds the best alignment; then that
+    alignment, when a linear pass finds it a tree mapping, or else the
+    top-down distance, filled only for the pairs that band allows.  When an
+    upper bound meets the lower, as one usually does on near-duplicates,
     that is the distance, bit for bit what the Zhang/Shasha tables would
     give, and no table is built.  Else the tables run.  A :class:`MathDoc`
     keeps its postorder arrays (:func:`_flatten`) from its first call in

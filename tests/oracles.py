@@ -1,8 +1,8 @@
 """Independent reference implementations used only to check the library.
 
 Deliberately naive: exhaustive recursion for tree edit distance, a
-recursive walk for its postorder arrays and a full table for the string edit
-distance of two sequences, unit-mass expansion plus Hungarian
+recursive walk for its postorder arrays, a test of every two pairs for a
+tree mapping and a full table for the string edit distance of two sequences, unit-mass expansion plus Hungarian
 assignment (and tiny brute force) for the earth mover's distance, an
 ancestor-chain matcher for path selection, a parent test over a branch's
 range for where that branch starts, a recursive
@@ -89,6 +89,33 @@ def postorder_arrays(node, with_text=False):
     n = len(labels) - 1
     keyroots = [k for k in range(1, n + 1) if lml[k] not in lml[k + 1:]]
     return labels, lml, keyroots, levels
+
+
+def is_tree_mapping(a, b, pairs) -> bool:
+    """Whether ``pairs`` of 1-indexed postorder numbers of the nodes ``a``
+    and ``b`` form a tree mapping, by the definition of Zhang and Shasha:
+    for every two pairs ``(x1, y1)`` and ``(x2, y2)``, ``x1 == x2`` iff
+    ``y1 == y2``, ``x1`` is an ancestor of ``x2`` iff ``y1`` is one of
+    ``y2``, and ``x1`` lies left of ``x2`` iff ``y1`` lies left of ``y2``.
+    An ancestor's subtree is the span from its leftmost leaf to itself; a
+    node lies left of another that it precedes outside that span."""
+    lml_a, lml_b = postorder_arrays(a)[1], postorder_arrays(b)[1]
+    if not all(1 <= x < len(lml_a) and 1 <= y < len(lml_b) for x, y in pairs):
+        return False
+
+    def ancestor(lml, u, v):
+        return lml[u] <= v < u
+
+    def left(lml, u, v):
+        return u < lml[v]
+
+    for x1, y1 in pairs:
+        for x2, y2 in pairs:
+            if ((x1 == x2) != (y1 == y2)
+                    or ancestor(lml_a, x1, x2) != ancestor(lml_b, y1, y2)
+                    or left(lml_a, x1, x2) != left(lml_b, y1, y2)):
+                return False
+    return True
 
 
 def sed_reference(a, b, ins=1.0, dele=1.0, ren=1.0) -> float:

@@ -74,6 +74,8 @@ GOLDEN_CASES = [
      ["dist", "--measure", "ted", "--costs", "1,1,0.3", "XY", "THREE"]),
     ("dist_ted_nametext.txt",
      ["dist", "--measure", "ted", "--label-mode", "name-text", "XY", "THREE"]),
+    # no top-down script meets the lower bound here; the alignment does
+    ("dist_ted_listing1_three_mi.txt", ["dist", "--measure", "ted", "L1", "THREE"]),
     ("doc_dist_cosine.txt",
      ["doc-dist", "--measure", "cosine", "-a", "L1", "-b", "L1"]),
     ("doc_dist_emd_dup.txt",
@@ -260,6 +262,19 @@ class TestExitCodes:
     def test_success_code_is_zero(self, invoke, paths):
         code, out, err = invoke(["extract", paths["L1"]])
         assert code == 0 and err == ""
+
+    def test_select_prints_each_match_from_the_columns(self, invoke, paths, golden_dir,
+                                                       monkeypatch):
+        # the spy of test_each_element_is_built_once: no node is built
+        built = []
+        post_init, trusted = mmlkit.MathNode.__post_init__, mmlkit.core._node
+        monkeypatch.setattr(mmlkit.MathNode, "__post_init__",
+                            lambda node: built.append(node.name) or post_init(node))
+        monkeypatch.setattr(mmlkit.core, "_node",
+                            lambda name, *parts: built.append(name) or trusted(name, *parts))
+        expected = (golden_dir / "select_identifiers.txt").read_text(encoding="utf-8")
+        assert invoke(["select", "--expr", "//mi | //ci", paths["L1"]]) == (0, expected, "")
+        assert built == []
 
     def test_empty_match_is_success(self, invoke, paths):
         assert invoke(["select", "--expr", "//mo", paths["L1"]]) == (0, "", "")

@@ -1,3 +1,4 @@
+import bisect
 import math
 import random
 import re
@@ -553,6 +554,115 @@ def test_bounds_settle_a_swap_of_two_leaves(monkeypatch):
     assert settled == [2.0]
 
 
+def counted_top_down(monkeypatch):
+    """The argument tuples of every later call to the top-down pass."""
+    calls, top_down = [], mmlkit.similarity._top_down
+    monkeypatch.setattr(mmlkit.similarity, "_top_down",
+                        lambda *args: calls.append(args) or top_down(*args))
+    return calls
+
+
+def test_a_near_duplicate_settles_on_its_alignment_alone(monkeypatch):
+    # 40 to 80 nodes, one inner node renamed: the postorder strings differ
+    # in one label, and aligning the rest with itself is a tree mapping
+    rng = random.Random(151)
+    tree = generators.random_label_tree(rng, 80)
+    while not 40 <= oracles.tree_size(tree) <= 80:
+        tree = generators.random_label_tree(rng, 80)
+
+    def rebuilt(node, renamed):
+        label, children = node
+        kids = tuple(rebuilt(child, renamed) for child in children)
+        return mmlkit.MathNode("e" if node is renamed else label, (), None, kids)
+
+    inner, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        inner += [node] if node[1] else []
+        stack.extend(node[1])
+    a, b = rebuilt(tree, None), rebuilt(tree, rng.choice(inner))
+    calls = counted_top_down(monkeypatch)
+    for x, y in ((a, b), (b, a)):
+        assert mmlkit.tree_edit_distance(x, y) == 1.0
+        assert mmlkit.tree_edit_distance(x, y, CostConfig(1, 1, 0.5), "name-text") == 0.5
+    assert calls == []
+
+
+def test_a_tie_the_alignment_leaves_open_falls_through_to_the_top_down_pass(monkeypatch):
+    # c(d) against c(d, c): the trimmed common prefix d c aligns the root of
+    # A with a leaf of B, an alignment of cost 1 that is no tree mapping
+    a = generators.label_tree_to_node(("c", (("d", ()),)))
+    b = generators.label_tree_to_node(("c", (("d", ()), ("c", ()))))
+    labels_a, lml_a = mmlkit.similarity._flatten(a, "name")[:2]
+    labels_b, lml_b = mmlkit.similarity._flatten(b, "name")[:2]
+    low, pairs = mmlkit.similarity._postorder_sed(labels_a, labels_b, 1.0, 1.0, 1.0)
+    assert (low, pairs) == (1.0, [(1, 1), (2, 2)])
+    assert not mmlkit.similarity._is_mapping(lml_a, lml_b, pairs)
+    calls = counted_top_down(monkeypatch)
+    expected = oracles.ted_reference(oracles.as_label_tree(a), oracles.as_label_tree(b))
+    assert mmlkit.tree_edit_distance(a, b) == expected == 1.0
+    assert len(calls) == 1
+
+
+def test_the_alignment_settles_listing1_against_three_mi(listing1_doc, data_dir, monkeypatch):
+    # the top-down distance stays above the lower bound here, so without the
+    # alignment the Zhang/Shasha tables give these values
+    three, _ = mmlkit.parse((data_dir / "three_mi.mml").read_text(encoding="utf-8"))
+    a, b = (mmlkit.similarity._flatten(doc, "name") for doc in (listing1_doc, three))
+    shapes = a[0], a[1], a[3], b[0], b[1], b[3]
+    calls = counted_top_down(monkeypatch)
+    for costs, expected in (((1.0, 1.0, 1.0), 8.0), ((1.0, 1.0, 0.5), 7.0)):
+        assert mmlkit.similarity._bounds_meet(*shapes, *costs) == expected
+        assert mmlkit.similarity._top_down(*shapes, *costs, expected) > expected
+    assert len(calls) == 2  # the two made just above
+    monkeypatch.setattr(mmlkit.similarity, "_bounds_meet", lambda *args: None)
+    assert mmlkit.tree_edit_distance(listing1_doc, three) == 8.0
+
+
+def perturbed(rng, pairs, na, nb):
+    """``pairs`` with some dropped and some added, still increasing in both
+    postorder numbers, as an alignment's are."""
+    kept = [pair for pair in pairs if rng.random() < 0.8]
+    for _ in range(rng.randint(0, 3)):
+        x, y = rng.randint(1, na), rng.randint(1, nb)
+        at = bisect.bisect(kept, (x, y))
+        before = kept[at - 1] if at else (0, 0)
+        after = kept[at] if at < len(kept) else (na + 1, nb + 1)
+        if before[0] < x < after[0] and before[1] < y < after[1]:
+            kept.insert(at, (x, y))
+    return kept
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_the_alignment_is_checked_as_a_tree_mapping_and_settles_exactly(seed):
+    # the string edit distance's alignment costs the distance; the linear
+    # check agrees with the definition on it and on perturbed pair lists;
+    # and where it holds, the lower bound is the tree edit distance
+    rng = random.Random(seed)
+    tree = generators.random_label_tree(rng, rng.choice([4, 7, 10]))
+    a = generators.edited(rng, tree, 0)
+    b = (generators.edited(rng, tree, rng.randint(1, 4)) if rng.random() < 0.5
+         else generators.edited(rng, generators.random_label_tree(rng, 10), 0))
+    insert, delete, rename = costs = [rng.choice([0.0, 0.25, 0.5, 1.0, 2.25, 3.0])
+                                      for _ in range(3)]
+    for label_mode, with_text in (("name", False), ("name-text", True)):
+        labels_a, lml_a = mmlkit.similarity._flatten(a, label_mode)[:2]
+        labels_b, lml_b = mmlkit.similarity._flatten(b, label_mode)[:2]
+        low, pairs = mmlkit.similarity._postorder_sed(labels_a, labels_b, *costs)
+        na, nb = len(labels_a) - 1, len(labels_b) - 1
+        assert all(p < q and p[1] < q[1] for p, q in zip(pairs, pairs[1:]))
+        assert low == (delete * (na - len(pairs)) + insert * (nb - len(pairs))
+                       + rename * sum(labels_a[x] != labels_b[y] for x, y in pairs))
+        settled = mmlkit.similarity._is_mapping(lml_a, lml_b, pairs)
+        for candidate in (pairs, perturbed(rng, pairs, na, nb)):
+            assert mmlkit.similarity._is_mapping(lml_a, lml_b, candidate) == \
+                oracles.is_tree_mapping(a, b, candidate)
+        if settled:
+            assert low == oracles.ted_reference(oracles.as_label_tree(a, with_text),
+                                                oracles.as_label_tree(b, with_text), *costs)
+
+
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_postorder_string_edit_distance_is_a_lower_bound_on_tree_edit_distance(seed):
@@ -566,7 +676,7 @@ def test_postorder_string_edit_distance_is_a_lower_bound_on_tree_edit_distance(s
     costs = [rng.choice([0.0, 0.25, 0.5, 1.0, 2.25, 3.0]) for _ in range(3)]
     labels_a = mmlkit.similarity._flatten(a, "name")[0]
     labels_b = mmlkit.similarity._flatten(b, "name")[0]
-    bound = mmlkit.similarity._postorder_sed(labels_a, labels_b, *costs)
+    bound = mmlkit.similarity._postorder_sed(labels_a, labels_b, *costs)[0]
     assert bound == oracles.sed_reference(oracles.postorder_arrays(a)[0][1:],
                                           oracles.postorder_arrays(b)[0][1:], *costs)
     assert bound <= oracles.ted_reference(oracles.as_label_tree(a),
@@ -587,7 +697,7 @@ def test_postorder_string_edit_distance_trims_common_ends_exactly(
     # equal end labels align with each other in some best alignment, so
     # dropping a shared prefix and suffix first keeps the distance
     a, b = prefix + middle_a + suffix, prefix + middle_b + suffix
-    assert mmlkit.similarity._postorder_sed((None, *a), (None, *b), *costs) == \
+    assert mmlkit.similarity._postorder_sed((None, *a), (None, *b), *costs)[0] == \
         oracles.sed_reference(a, b, *costs)
 
 
